@@ -176,8 +176,12 @@ def test_purification_checks_fail_when_perturbed(pure_case):
 
 
 def test_2x3_checks_on_synthetic_results():
-    gen = np.random.default_rng(5)
-    case = workloads.embedded_bell_pair(gen)
+    # a rank-2 Bell-diagonal state carried into 2x3 by an isometry on B
+    weights = np.array([0.7, 0.3, 0.0, 0.0])
+    source = workloads._bell_diagonal(np.random.default_rng(5), weights)
+    iso = np.kron(np.eye(2), np.eye(3)[:, :2])
+    case = workloads.State("embedded", (2, 3), iso @ source @ iso.T,
+                           bell_weights=weights, two_qubit=source)
     exact_ere = oracles.bell_diagonal_ere(case.bell_weights)
     exact_eoc = oracles.wootters_eof(case.two_qubit)
     assert exact_eoc >= exact_ere - 1e-12

@@ -1,6 +1,6 @@
-"""Benchmark of erasure_lab: three workloads, end to end and per module.
+"""Benchmark of erasure_lab: two workloads, end to end and per module.
 
-    python3 bench/run.py --workload cli-scenarios --seed 1 --seconds 30 --trace 0
+    python3 bench/run.py --workload cli-scenarios --seed 1 --seconds 55 --trace 0
 
 Run from anywhere inside a checkout; the package is imported from the
 checkout's ``src/``. The last line of standard output is one JSON object
@@ -198,9 +198,9 @@ def _layer_metrics(tracer, n_ops: int, overhead: float) -> dict:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True,
-                        choices=("cli-scenarios", "entangle-2x2", "entangle-2x3"))
+                        choices=("cli-scenarios", "entangle"))
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--seconds", type=float, default=30.0)
+    parser.add_argument("--seconds", type=float, default=55.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--setup-probe", action="store_true",
                         help="set up once, print the set-up seconds and exit")

@@ -37,7 +37,7 @@ from .entropy import (
     shannon_entropy,
     von_neumann_entropy,
 )
-from .errors import ConvergenceError, InputError, SupportError, UnsupportedScenarioError
+from .errors import InputError, SupportError, UnsupportedScenarioError
 from .linalg import (
     DensityOperator,
     TensorSpace,

@@ -1,8 +1,9 @@
 """Command-line surface: erasure | demon | entanglement | selftest.
 
-Scenario files are JSON (see docs/scenarios.md); structured results are
-emitted as JSON, ledgers and traces as CSV, and human-readable tables on
-stdout. Exit codes: 0 success, 2 malformed scenario, 3 numerical violation
+Scenario files are JSON, validated against ``scenario.SCHEMAS``; structured
+results are emitted as strict JSON (no NaN or Infinity tokens), ledgers and
+traces as CSV, and human-readable tables on stdout. Exit codes: 0 success,
+2 malformed scenario (including non-finite numbers), 3 numerical violation
 (which would indicate a bug, not bad input).
 
 The seed is resolved as: ERASURE_LAB_SEED environment variable, then --seed,
@@ -53,15 +54,20 @@ def _write(path: str | None, text: str) -> None:
             fh.write(text)
 
 
+def _to_json(report: dict) -> str:
+    """Strict JSON: a non-finite value raises ValueError instead of printing NaN."""
+    return json.dumps(report, indent=2, allow_nan=False)
+
+
 def _emit(args, seed: int, command: str, json_report: dict, text_report: str) -> None:
     json_report = {"command": command, "seed": seed, **json_report}
     if args.format == "json":
-        print(json.dumps(json_report, indent=2))
+        print(_to_json(json_report))
     else:
         print(f"# erasure-lab {command} seed={seed}")
         print(text_report, end="")
     if args.out:
-        _write(args.out, json.dumps(json_report, indent=2) + "\n")
+        _write(args.out, _to_json(json_report) + "\n")
 
 
 def cmd_erasure(args) -> int:
@@ -89,8 +95,8 @@ def _demon_classical(args, payload, seed) -> int:
     csv_text = f"# seed={seed}\n" + ledger.to_csv()
     _write(args.out, csv_text)
     if args.format == "json":
-        print(json.dumps({"command": "demon", "seed": seed, "ledger": ledger.to_json(),
-                          "violations": problems}, indent=2))
+        print(_to_json({"command": "demon", "seed": seed, "ledger": ledger.to_json(),
+                        "violations": problems}))
     else:
         print(f"# erasure-lab demon seed={seed}")
         print(csv_text if not args.out else f"ledger written to {args.out}")
@@ -113,8 +119,8 @@ def _demon_qec(args, payload, seed) -> int:
         "apparatus_overlap": scenario.overlap,
     }
     if args.format == "json":
-        print(json.dumps({"command": "demon", "seed": seed, "ledger": result.ledger.to_json(),
-                          **summary, "violations": problems}, indent=2))
+        print(_to_json({"command": "demon", "seed": seed, "ledger": result.ledger.to_json(),
+                        **summary, "violations": problems}))
     else:
         print(f"# erasure-lab demon seed={seed}")
         if args.out:
@@ -140,11 +146,11 @@ def _demon_sweep(args, payload, seed) -> int:
     _write(args.out, csv_text)
     monotone = all(rows[i + 1].fidelity <= rows[i].fidelity + 1e-9 for i in range(len(rows) - 1))
     if args.format == "json":
-        print(json.dumps({
+        print(_to_json({
             "command": "demon", "seed": seed, "fidelity_monotone": monotone,
             "rows": [{"overlap": r.overlap, "fidelity": r.fidelity,
                       "erasure_entropy": r.erasure_entropy} for r in rows],
-        }, indent=2))
+        }))
     else:
         print(f"# erasure-lab demon seed={seed}")
         print(csv_text if not args.out else f"sweep written to {args.out}")

@@ -51,6 +51,8 @@ __all__ = [
 
 _EIG_FLOOR = DEFAULT_TOL.eig_floor
 _KERNEL_MASS_TOL = 1e-9
+# Schmidt coefficients at or below this fraction of the largest are rounding.
+_SCHMIDT_CUTOFF = 1e-12
 
 
 @dataclass(frozen=True)
@@ -126,13 +128,11 @@ def schmidt_decompose(psi, dims: tuple[int, int]) -> SchmidtForm:
     norm = np.linalg.norm(v)
     if abs(norm - 1.0) > 1e-9:
         raise InputError(f"expected a unit vector, got norm {norm}")
-    c = v.reshape(d_a, d_b)
-    lam, vecs = hermitian_eig(c.conj().T @ c)
-    keep = lam > 1e-24
-    lam, vecs = lam[keep], vecs[:, keep]
-    coeffs = np.sqrt(lam)
-    left = (c @ vecs) / coeffs
-    return SchmidtForm(coefficients=coeffs, left=left, right=vecs.conj())
+    # SVD of the coefficient matrix: the eigenvalues of c^dag c would square
+    # the singular values and turn rounding into ghost Schmidt coefficients.
+    u, coeffs, vh = np.linalg.svd(v.reshape(d_a, d_b), full_matrices=False)
+    k = int(np.count_nonzero(coeffs > _SCHMIDT_CUTOFF * coeffs[0]))
+    return SchmidtForm(coefficients=coeffs[:k], left=u[:, :k], right=vh[:k].T)
 
 
 def entropy_of_entanglement(psi, dims: tuple[int, int]) -> EntropyValue:

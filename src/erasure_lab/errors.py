@@ -12,7 +12,3 @@ class SupportError(ArithmeticError):
 
 class UnsupportedScenarioError(InputError):
     """Raised when a scenario is well formed but outside the simulated regime."""
-
-
-class ConvergenceError(ArithmeticError):
-    """Raised when an iterative routine fails to meet its numerical contract."""

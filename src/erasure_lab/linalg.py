@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, InputError, SupportError
+from .errors import InputError, SupportError
 
 __all__ = [
     "Tolerances",
@@ -35,13 +35,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Numerical tolerances; the module-level DEFAULT_TOL can be overridden per call."""
+    """Numerical tolerances; the module-level DEFAULT_TOL can be overridden per call.
+
+    ``hermiticity``, ``unit_trace`` and ``psd`` are the validation thresholds of
+    ``require_hermitian`` and ``DensityOperator``; ``eig_floor`` is the
+    smallest eigenvalue counted as support, and ``regularization_eps`` the
+    identity weight mixed in by ``matrix_function(..., regularize=True)``.
+    """
 
     hermiticity: float = 1e-10
     unit_trace: float = 1e-10
     psd: float = 1e-10
-    jacobi_off_norm: float = 1e-12
-    jacobi_max_sweeps: int = 100
     eig_floor: float = 1e-12
     regularization_eps: float = 1e-9
 
@@ -59,7 +63,7 @@ def _as_square_array(m) -> np.ndarray:
 def require_hermitian(m: np.ndarray, tol: float = DEFAULT_TOL.hermiticity) -> np.ndarray:
     a = _as_square_array(m)
     dev = np.max(np.abs(a - a.conj().T)) if a.size else 0.0
-    if dev > tol:
+    if not dev <= tol:  # also rejects NaN
         raise InputError(f"matrix is not Hermitian: max |M - M^dag| = {dev:.3e} > {tol:.1e}")
     return a
 
@@ -143,10 +147,10 @@ class DensityOperator:
             )
         require_hermitian(m, self.tol.hermiticity)
         tr = complex(np.trace(m))
-        if abs(tr - 1.0) > self.tol.unit_trace:
+        if not abs(tr - 1.0) <= self.tol.unit_trace:
             raise InputError(f"trace must be 1, got {tr}")
         lam, _ = hermitian_eig(m, tol=self.tol)
-        if lam[-1] < -self.tol.psd:
+        if not lam[-1] >= -self.tol.psd:
             raise InputError(f"matrix is not positive semidefinite: min eigenvalue {lam[-1]:.3e}")
 
     @staticmethod
@@ -224,60 +228,16 @@ def partial_trace(rho: DensityOperator, keep) -> DensityOperator:
     return DensityOperator(space.subspace(keep_set), reduced, rho.tol)
 
 
-def _off_diagonal_norm(a: np.ndarray) -> float:
-    off = a - np.diag(np.diag(a))
-    return float(np.linalg.norm(off))
-
-
 def hermitian_eig(m, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix by cyclic Jacobi rotations.
+    """Eigendecomposition of a Hermitian matrix by LAPACK (``numpy.linalg.eigh``).
 
     Returns (eigenvalues descending, eigenvectors as orthonormal columns).
-    Sweeps stop once the off-diagonal Frobenius norm drops below
-    ``tol.jacobi_off_norm``; dimensions here stay small (<~64) so robustness
-    beats speed.
+    The input must be Hermitian to ``tol.hermiticity``; its Hermitian part is
+    what gets diagonalised.
     """
     a = require_hermitian(m, tol.hermiticity)
-    n = a.shape[0]
-    a = (a + a.conj().T) / 2.0
-    v = np.eye(n, dtype=complex)
-    if n == 1:
-        return np.array([a[0, 0].real]), v
-
-    skip_below = 0.1 * tol.jacobi_off_norm / n
-    for _ in range(tol.jacobi_max_sweeps):
-        if _off_diagonal_norm(a) <= tol.jacobi_off_norm:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                r = abs(apq)
-                if r <= skip_below:
-                    continue
-                # Phase out a_pq, then a real rotation zeroes the 2x2 block.
-                phase = apq.conjugate() / r
-                app = a[p, p].real
-                aqq = a[q, q].real
-                theta = (aqq - app) / (2.0 * r)
-                t = -math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-                c = 1.0 / math.hypot(t, 1.0)
-                s = t * c
-                u2 = np.array([[c, -s], [s * phase, c * phase]], dtype=complex)
-                a[:, [p, q]] = a[:, [p, q]] @ u2
-                a[[p, q], :] = u2.conj().T @ a[[p, q], :]
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                v[:, [p, q]] = v[:, [p, q]] @ u2
-    else:
-        scale = max(1.0, float(np.linalg.norm(a)))
-        if _off_diagonal_norm(a) > 1e-9 * scale:
-            raise ConvergenceError(
-                f"Jacobi sweeps did not converge within {tol.jacobi_max_sweeps} sweeps"
-            )
-
-    lam = np.real(np.diag(a))
-    order = np.argsort(lam)[::-1]
-    return lam[order], v[:, order]
+    lam, v = np.linalg.eigh((a + a.conj().T) / 2.0)
+    return lam[::-1], v[:, ::-1]
 
 
 def matrix_function(m, f, domain_floor: float | None = None, regularize: bool = False,
@@ -322,6 +282,11 @@ def matrix_to_json(m) -> dict:
     }
 
 
+def _require_finite(re: np.ndarray, im: np.ndarray, kind: str) -> None:
+    if not (np.isfinite(re).all() and np.isfinite(im).all()):
+        raise InputError(f"{kind} literal has a non-finite entry (NaN or Infinity)")
+
+
 def matrix_from_json(obj: dict) -> np.ndarray:
     try:
         dim = int(obj["dim"])
@@ -333,6 +298,7 @@ def matrix_from_json(obj: dict) -> np.ndarray:
         raise InputError(
             f"matrix literal shape mismatch: dim={dim}, re {re.shape}, im {im.shape}"
         )
+    _require_finite(re, im, "matrix")
     return re + 1j * im
 
 
@@ -349,4 +315,5 @@ def vector_from_json(obj: dict) -> np.ndarray:
     im = np.asarray(obj.get("im", np.zeros_like(re)), dtype=float).reshape(-1)
     if im.shape != re.shape:
         raise InputError("vector literal re/im length mismatch")
+    _require_finite(re, im, "vector")
     return re + 1j * im

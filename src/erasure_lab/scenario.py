@@ -8,7 +8,9 @@ optional) and kets use {"re": [...], "im": [...]}.
 
 from __future__ import annotations
 
+import functools
 import json
+import math
 
 import jsonschema
 
@@ -133,19 +135,39 @@ def load_scenario(path: str, command: str) -> dict:
     """Read and schema-validate a scenario file for the given command."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
+            payload = json.load(fh, parse_constant=_non_finite, parse_float=_finite_float)
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"scenario file is not valid JSON: {exc}") from exc
-    schema = SCHEMAS.get(command)
-    if schema is None:
+    if command not in SCHEMAS:
         raise ScenarioError(f"no scenario schema for command {command!r}")
-    try:
-        jsonschema.validate(payload, schema)
-    except jsonschema.ValidationError as exc:
-        raise ScenarioError(f"scenario does not match the {command} schema: {exc.message}") from exc
+    # best_match picks the same error, and so the same message, as jsonschema.validate.
+    error = jsonschema.exceptions.best_match(_validator(command).iter_errors(payload))
+    if error is not None:
+        raise ScenarioError(
+            f"scenario does not match the {command} schema: {error.message}") from error
     return payload
+
+
+def _non_finite(token: str):
+    raise ScenarioError(f"scenario file has a non-finite number: {token}")
+
+
+def _finite_float(token: str) -> float:
+    value = float(token)
+    if not math.isfinite(value):  # e.g. 1e400
+        _non_finite(token)
+    return value
+
+
+@functools.cache
+def _validator(command: str):
+    """Validator for one command's schema, checked against its metaschema once."""
+    schema = SCHEMAS[command]
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
 
 
 def build_erasure_inputs(payload: dict) -> tuple[DensityOperator, HamiltonianSpec, float | None]:

@@ -51,7 +51,12 @@ def _free_energy_family(gen: np.random.Generator, cases: int) -> FamilyResult:
                                      beta=float(gen.uniform(0.2, 3.0)))
         omega = thermo.gibbs_state(ham)
         lhs = thermo.free_energy(rho, ham) - thermo.free_energy(omega, ham)
-        rhs = ham.temperature * relative_entropy(rho, omega).nats
+        # S(rho || omega) in H's eigenbasis, where omega is diag(Gibbs weights)
+        # exactly: ln omega needs weights as small as 1e-9 to full relative
+        # precision, which diagonalising the dense Gibbs matrix again loses.
+        rho_h = DensityOperator.from_matrix(ham.frame.conj().T @ rho.matrix @ ham.frame)
+        omega_h = DensityOperator.from_matrix(np.diag(ham.gibbs_weights))
+        rhs = ham.temperature * relative_entropy(rho_h, omega_h).nats
         err = abs(lhs - rhs) / max(abs(rhs), 1.0)
         worst = max(worst, err)
     passed = worst <= 1e-9

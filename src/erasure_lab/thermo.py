@@ -154,32 +154,23 @@ def trace_distance(a: DensityOperator, b: DensityOperator,
     return 0.5 * float(np.sum(np.abs(lam)))
 
 
-def _swap_operator(d: int) -> np.ndarray:
-    swap = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            swap[i * d + j, j * d + i] = 1.0
-    return swap
-
-
 def collision_step(apparatus: DensityOperator, reservoir_state: DensityOperator,
                    swap_fraction: float) -> DensityOperator:
     """One partial-swap collision with a fresh reservoir copy.
 
     The joint unitary is cos(theta) I + i sin(theta) SWAP with
-    theta = (pi/2) * swap_fraction, after which the reservoir copy is traced
-    out; swap_fraction = 1 therefore returns the reservoir state exactly.
+    theta = (pi/2) * swap_fraction; tracing out the reservoir copy leaves
+    cos^2(theta) rho + sin^2(theta) sigma + i sin(theta) cos(theta) [sigma, rho],
+    so swap_fraction = 1 returns the reservoir state exactly.
     """
     if apparatus.dim != reservoir_state.dim:
         raise InputError(f"dimension mismatch: {apparatus.dim} vs {reservoir_state.dim}")
     if not 0.0 < swap_fraction <= 1.0:
         raise InputError(f"swap_fraction must lie in (0, 1], got {swap_fraction}")
-    d = apparatus.dim
     theta = 0.5 * math.pi * swap_fraction
-    u = math.cos(theta) * np.eye(d * d, dtype=complex) + 1j * math.sin(theta) * _swap_operator(d)
-    joint = np.kron(apparatus.matrix, reservoir_state.matrix)
-    joint = u @ joint @ u.conj().T
-    out = np.einsum("ikjk->ij", joint.reshape(d, d, d, d))
+    c, s = math.cos(theta), math.sin(theta)
+    rho, sigma = apparatus.matrix, reservoir_state.matrix
+    out = c * c * rho + s * s * sigma + 1j * s * c * (sigma @ rho - rho @ sigma)
     out = (out + out.conj().T) / 2.0
     return DensityOperator.from_matrix(out, apparatus.space, apparatus.tol)
 

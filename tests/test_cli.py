@@ -47,6 +47,29 @@ class TestErasureCommand:
         code, _, err = run_cli(["erasure", "--scenario", "/nonexistent.json"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("edit", [
+        lambda s: s["state"]["re"][0].__setitem__(0, math.nan),
+        lambda s: s["hamiltonian"]["matrix"]["re"][1].__setitem__(1, math.inf),
+        lambda s: s["hamiltonian"].__setitem__("beta", math.inf),
+    ], ids=["nan-state", "infinite-hamiltonian", "infinite-beta"])
+    def test_non_finite_entry_exits_2(self, edit, tmp_path, capsys):
+        scenario = json.loads((EXAMPLES / "erasure.json").read_text())
+        edit(scenario)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(scenario))  # writes the NaN / Infinity tokens
+        code, out, err = run_cli(["erasure", "--scenario", str(bad), "--format", "json"], capsys)
+        assert code == 2
+        assert "non-finite" in err
+        assert "NaN" not in out and "Infinity" not in out
+
+    def test_overflowing_number_exits_2(self, tmp_path, capsys):
+        text = (EXAMPLES / "erasure.json").read_text().replace('"beta": 1.0', '"beta": 1e400')
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        code, _, err = run_cli(["erasure", "--scenario", str(bad)], capsys)
+        assert code == 2
+        assert "non-finite" in err
+
 
 class TestDemonCommand:
     def test_classical_ledger_totals(self, tmp_path, capsys):
@@ -144,6 +167,17 @@ class TestSelftestCommand:
         monkeypatch.setenv("ERASURE_LAB_SEED", "not-a-number")
         code, _, _ = run_cli(["selftest"], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("seed", [91769488, 335907622])
+    def test_free_energy_family_on_small_gibbs_weights(self, seed):
+        # These seeds draw Gibbs weights near 1e-9, where the identity used to
+        # miss its 1e-9 threshold; the generator is advanced as run_selftest does.
+        from erasure_lab import sampling, selftest
+
+        gen = sampling.rng(seed)
+        selftest._landauer_family(gen, 200)
+        result = selftest._free_energy_family(gen, 200)
+        assert result.passed, result.detail
 
 
 class TestEntryPoint:

@@ -111,6 +111,25 @@ class TestSchmidt:
         with pytest.raises(InputError):
             schmidt_decompose(np.ones(4), (2, 2))
 
+    def test_rectangular_product_has_rank_one(self):
+        gen = rng(17)
+        for _ in range(20):
+            psi = np.kron(random_ket(gen, 2), random_ket(gen, 3))
+            form = schmidt_decompose(psi, (2, 3))
+            assert form.rank == 1
+            assert np.max(np.abs(form.reconstruct() - psi)) < 1e-12
+
+    def test_small_schmidt_weight_is_kept(self):
+        gen = rng(19)
+        weight = 1e-7
+        for _ in range(20):
+            u, v = random_unitary(gen, 2), random_unitary(gen, 3)
+            psi = (math.sqrt(1 - weight) * np.kron(u[:, 0], v[:, 0])
+                   + math.sqrt(weight) * np.kron(u[:, 1], v[:, 1]))
+            form = schmidt_decompose(psi, (2, 3))
+            assert form.rank == 2
+            assert np.allclose(form.coefficients**2, [1 - weight, weight], rtol=1e-9, atol=0)
+
 
 class TestEntropyOfEntanglement:
     def test_product_state_zero(self):
@@ -162,16 +181,12 @@ class TestClosestProductState:
         value = self.objective(g, a, b)
         assert value == pytest.approx(0.5, abs=1e-9)
         # brute force over a parametrized product grid never beats the oracle
-        best = 0.0
         thetas = np.linspace(0, math.pi / 2, 25)
         phis = np.linspace(0, 2 * math.pi, 25, endpoint=False)
-        for ta in thetas:
-            for pa in phis:
-                ka = np.array([math.cos(ta), math.sin(ta) * np.exp(1j * pa)])
-                for tb in thetas:
-                    for pb in phis:
-                        kb = np.array([math.cos(tb), math.sin(tb) * np.exp(1j * pb)])
-                        best = max(best, self.objective(g, ka, kb))
+        t, p = (x.reshape(-1) for x in np.meshgrid(thetas, phis, indexing="ij"))
+        grid = np.stack([np.cos(t), np.sin(t) * np.exp(1j * p)], axis=1)  # 625 kets
+        kets = (grid[:, None, :, None] * grid[None, :, None, :]).reshape(-1, 4)
+        best = np.max(np.real(np.einsum("ni,ij,nj->n", kets.conj(), g, kets)))
         assert best <= value + 1e-6
 
     def test_non_hermitian_rejected(self):

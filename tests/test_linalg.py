@@ -158,6 +158,45 @@ class TestHermitianEig:
         with pytest.raises(InputError):
             hermitian_eig(np.array([[0, 1], [0, 0]], dtype=complex))
 
+    @staticmethod
+    def assert_decomposes(m, lam, v):
+        d = m.shape[0]
+        assert lam.shape == (d,) and v.shape == (d, d)
+        assert np.all(np.diff(lam) <= 0)
+        assert np.max(np.abs(v.conj().T @ v - np.eye(d))) < 1e-12
+        assert np.max(np.abs((v * lam) @ v.conj().T - m)) < 1e-12
+
+    @pytest.mark.parametrize("d", [1, 2, 4, 8, 16, 32])
+    def test_random_spectra(self, d):
+        gen = np.random.default_rng(d)
+        m = random_hermitian(d, gen)
+        self.assert_decomposes(m, *hermitian_eig(m))
+
+    @pytest.mark.parametrize("d", [2, 4, 8, 16, 32])
+    def test_degenerate_spectrum(self, d):
+        gen = np.random.default_rng(100 + d)
+        u, _ = np.linalg.qr(random_hermitian(d, gen))
+        spectrum = np.repeat([1.5, -0.25], [d - d // 2, d // 2])
+        m = (u * spectrum) @ u.conj().T
+        lam, v = hermitian_eig(m)
+        self.assert_decomposes(m, lam, v)
+        assert np.max(np.abs(lam - np.sort(spectrum)[::-1])) < 1e-12
+
+    @pytest.mark.parametrize("d", [1, 2, 4, 8, 16, 32])
+    def test_rank_one_projector(self, d):
+        gen = np.random.default_rng(200 + d)
+        ket = gen.normal(size=d) + 1j * gen.normal(size=d)
+        ket /= np.linalg.norm(ket)
+        m = np.outer(ket, ket.conj())
+        lam, v = hermitian_eig(m)
+        self.assert_decomposes(m, lam, v)
+        assert abs(lam[0] - 1.0) < 1e-12 and np.all(np.abs(lam[1:]) < 1e-12)
+        assert abs(abs(np.vdot(v[:, 0], ket)) - 1.0) < 1e-12
+
+    def test_nan_rejected(self):
+        with pytest.raises(InputError):
+            hermitian_eig(np.array([[np.nan, 0], [0, 1]], dtype=complex))
+
 
 class TestMatrixFunction:
     def test_exp_of_zero(self):
@@ -197,6 +236,10 @@ class TestDensityOperator:
     def test_rejects_negative_eigenvalue(self):
         with pytest.raises(InputError):
             DensityOperator.from_matrix(np.diag([1.5, -0.5]))
+
+    def test_rejects_nan_entry(self):
+        with pytest.raises(InputError):
+            DensityOperator.from_matrix(np.array([[np.nan, 0.0], [0.0, 0.5]]))
 
     def test_rejects_space_mismatch(self):
         with pytest.raises(InputError):
@@ -254,6 +297,15 @@ class TestJsonLiterals:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(InputError):
             matrix_from_json({"dim": 2, "re": [[1, 0, 0], [0, 1, 0]]})
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_entries_rejected(self, bad):
+        with pytest.raises(InputError):
+            matrix_from_json({"dim": 2, "re": [[1, 0], [0, bad]]})
+        with pytest.raises(InputError):
+            matrix_from_json({"dim": 2, "re": [[1, 0], [0, 0]], "im": [[0, bad], [0, 0]]})
+        with pytest.raises(InputError):
+            vector_from_json({"re": [1.0, bad]})
 
     def test_vector_round_trip(self):
         v = RNG.normal(size=5) + 1j * RNG.normal(size=5)

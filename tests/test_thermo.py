@@ -186,6 +186,16 @@ class TestCollisionStep:
         oracle = oracle_partial_swap(rho.matrix, omega.matrix, 0.3)
         assert np.max(np.abs(out.matrix - oracle)) < 1e-12
 
+    @pytest.mark.parametrize("fraction", [0.1, 0.5, 0.85, 1.0])
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_closed_form_matches_unitary_form(self, d, fraction):
+        gen = np.random.default_rng([d, int(100 * fraction)])
+        for _ in range(5):
+            rho, omega = random_state(d, gen), random_state(d, gen)
+            out = collision_step(rho, omega, fraction)
+            oracle = oracle_partial_swap(rho.matrix, omega.matrix, fraction)
+            assert np.max(np.abs(out.matrix - oracle)) < 1e-12
+
     def test_contracts_toward_reservoir(self):
         for _ in range(10):
             rho, omega = random_state(2), random_state(2)

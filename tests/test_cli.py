@@ -47,14 +47,17 @@ class TestErasureCommand:
         code, _, err = run_cli(["erasure", "--scenario", "/nonexistent.json"], capsys)
         assert code == 2
 
-    @pytest.mark.parametrize("edit", [
-        lambda s: s["state"]["re"][0].__setitem__(0, math.nan),
-        lambda s: s["hamiltonian"]["matrix"]["re"][1].__setitem__(1, math.inf),
-        lambda s: s["hamiltonian"].__setitem__("beta", math.inf),
+    @pytest.mark.parametrize("path, value", [
+        (("state", "re", 0, 0), math.nan),
+        (("hamiltonian", "matrix", "re", 1, 1), math.inf),
+        (("hamiltonian", "beta"), math.inf),
     ], ids=["nan-state", "infinite-hamiltonian", "infinite-beta"])
-    def test_non_finite_entry_exits_2(self, edit, tmp_path, capsys):
+    def test_non_finite_entry_exits_2(self, path, value, tmp_path, capsys):
         scenario = json.loads((EXAMPLES / "erasure.json").read_text())
-        edit(scenario)
+        target = scenario
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(scenario))  # writes the NaN / Infinity tokens
         code, out, err = run_cli(["erasure", "--scenario", str(bad), "--format", "json"], capsys)
@@ -170,8 +173,8 @@ class TestSelftestCommand:
 
     @pytest.mark.parametrize("seed", [91769488, 335907622])
     def test_free_energy_family_on_small_gibbs_weights(self, seed):
-        # These seeds draw Gibbs weights near 1e-9, where the identity used to
-        # miss its 1e-9 threshold; the generator is advanced as run_selftest does.
+        # These seeds draw Gibbs weights near 1e-9, which ln(omega) needs to
+        # full relative precision; the generator is advanced as run_selftest does.
         from erasure_lab import sampling, selftest
 
         gen = sampling.rng(seed)

@@ -37,15 +37,11 @@ from .entropy import (
     shannon_entropy,
     von_neumann_entropy,
 )
-from .errors import InputError, SupportError, UnsupportedScenarioError
+from .errors import InputError, UnsupportedScenarioError
 from .linalg import (
     DensityOperator,
     TensorSpace,
-    Tolerances,
     hermitian_eig,
-    matrix_exp,
-    matrix_function,
-    matrix_log,
     partial_trace,
     tensor_product,
 )

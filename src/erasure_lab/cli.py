@@ -1,10 +1,11 @@
 """Command-line surface: erasure | demon | entanglement | selftest.
 
-Scenario files are JSON, validated against ``scenario.SCHEMAS``; structured
-results are emitted as strict JSON (no NaN or Infinity tokens), ledgers and
-traces as CSV, and human-readable tables on stdout. Exit codes: 0 success,
-2 malformed scenario (including non-finite numbers), 3 numerical violation
-(which would indicate a bug, not bad input).
+Scenario files are JSON, validated against ``scenario.SCHEMAS``. Two output
+formats: ``--format json`` prints strict JSON (no NaN or Infinity tokens),
+``--format text`` (the default) human-readable tables; ledgers and traces are
+written as CSV. Exit codes: 0 success, 2 malformed scenario (including
+non-finite numbers), 3 numerical violation (which would indicate a bug, not
+bad input).
 
 The seed is resolved as: ERASURE_LAB_SEED environment variable, then --seed,
 then the scenario's seed field, then 0; it is recorded in every report.
@@ -14,12 +15,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
 from . import scenario as scenario_mod
-from .demon import classical_cycle, imperfect_erasure_entropy, qec_cycle, recovery_fidelity_vs_overlap
+from .demon import classical_cycle, qec_cycle, recovery_fidelity_vs_overlap
 from .entanglement import (
     SolverOptions,
     entanglement_of_creation,
@@ -245,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="path for the machine-readable report")
         p.add_argument("--seed", type=int, default=None,
                        help="PRNG seed (ERASURE_LAB_SEED overrides)")
-        p.add_argument("--format", choices=("json", "csv", "text"), default="text")
+        p.add_argument("--format", choices=("json", "text"), default="text")
 
     p = sub.add_parser("erasure", help="reservoir erasure entropy report")
     common(p)

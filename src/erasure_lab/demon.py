@@ -12,19 +12,13 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .entropy import binary_entropy, mutual_information, von_neumann_entropy
 from .errors import InputError, UnsupportedScenarioError
-from .linalg import (
-    DEFAULT_TOL,
-    DensityOperator,
-    TensorSpace,
-    Tolerances,
-    hermitian_eig,
-)
+from .linalg import EIG_FLOOR, DensityOperator, TensorSpace, hermitian_eig
 
 __all__ = [
     "LedgerStep",
@@ -195,7 +189,6 @@ class QecScenario:
     input_state: DensityOperator
     errors: tuple[tuple[np.ndarray, float], ...]
     apparatus_states: tuple[np.ndarray, ...]
-    tol: Tolerances = DEFAULT_TOL
 
     def __post_init__(self):
         object.__setattr__(
@@ -222,7 +215,7 @@ class QecScenario:
                 f"of code words {len(self.codewords)}"
             )
         weights = np.array([w for _, w in self.errors])
-        if weights.min() < -1e-12 or abs(weights.sum() - 1.0) > 1e-9:
+        if not (weights.min() >= -1e-12 and abs(weights.sum() - 1.0) <= 1e-9):  # also rejects NaN
             raise InputError(f"error weights must be a probability vector, got {weights}")
         for e, _ in self.errors:
             if e.shape != (d, d):
@@ -275,15 +268,14 @@ class QecCycleResult:
     pre_trace_entropy: float | None = None
 
 
-def uhlmann_fidelity(rho: DensityOperator, sigma: DensityOperator,
-                     tol: Tolerances = DEFAULT_TOL) -> float:
+def uhlmann_fidelity(rho: DensityOperator, sigma: DensityOperator) -> float:
     """(tr sqrt(sqrt(rho) sigma sqrt(rho)))^2, equal to <psi|sigma|psi> for pure rho."""
     if rho.dim != sigma.dim:
         raise InputError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
-    lam, vecs = hermitian_eig(rho.matrix, tol=tol)
+    lam, vecs = hermitian_eig(rho.matrix)
     root = (vecs * np.sqrt(np.clip(lam, 0.0, None))) @ vecs.conj().T
     inner = root @ sigma.matrix @ root
-    lam2, _ = hermitian_eig((inner + inner.conj().T) / 2.0, tol=tol)
+    lam2, _ = hermitian_eig((inner + inner.conj().T) / 2.0)
     # the square root amplifies rounding noise near zero, so drop it first
     lam2 = np.where(lam2 < 1e-14 * max(lam2.max(), 1e-300), 0.0, lam2)
     return float(np.sum(np.sqrt(lam2)) ** 2)
@@ -333,18 +325,17 @@ def qec_cycle(scenario: QecScenario) -> QecCycleResult:
     d = scenario.system_dim
     n_err = len(scenario.errors)
     m_dim = scenario.apparatus_dim
-    tol = scenario.tol
 
     v = scenario.encoder
     rho_logical = scenario.input_state.matrix
     rho_c = v @ rho_logical @ v.conj().T
     space_s = TensorSpace.single("S", d)
-    encoded = DensityOperator(space_s, rho_c, tol)
-    s_initial = von_neumann_entropy(encoded, tol).nats
+    encoded = DensityOperator(space_s, rho_c)
+    s_initial = von_neumann_entropy(encoded).nats
 
     # Explicit environment record: branch amplitudes sqrt(p_i) E_i |chi_k> (x) |m0> (x) |e_i>.
-    w_in, chi = hermitian_eig(rho_logical, tol=tol)
-    keep = w_in > tol.eig_floor
+    w_in, chi = hermitian_eig(rho_logical)
+    keep = w_in > EIG_FLOOR
     w_in, chi = w_in[keep], chi[:, keep]
     m0 = np.zeros(m_dim, dtype=complex)
     m0[0] = 1.0
@@ -359,14 +350,14 @@ def qec_cycle(scenario: QecScenario) -> QecCycleResult:
     # Entropy of the total state from the Gram matrix of its (few) components.
     flat = np.column_stack([math.sqrt(wk) * cols.reshape(-1) for wk, cols in zip(w_in, branch_kets)])
     gram = flat.conj().T @ flat
-    g_lam, _ = hermitian_eig(gram, tol=tol)
+    g_lam, _ = hermitian_eig(gram)
     g_lam = np.clip(np.real(g_lam), 0.0, None)
     pre_trace_entropy = float(-np.sum(g_lam[g_lam > 0] * np.log(g_lam[g_lam > 0])))
 
     # Tracing the orthonormal environment records collapses each ket matrix to W W^dag.
     rho_sa_pre = sum(wk * cols @ cols.conj().T for wk, cols in zip(w_in, branch_kets))
     rho_f = np.einsum("ikjk->ij", rho_sa_pre.reshape(d, m_dim, d, m_dim))
-    s_error = von_neumann_entropy(DensityOperator(space_s, rho_f, tol), tol).nats
+    s_error = von_neumann_entropy(DensityOperator(space_s, rho_f)).nats
 
     # Observation correlates the apparatus with the error branch.
     branches = [e_op @ rho_c @ e_op.conj().T for e_op, _ in scenario.errors]
@@ -376,11 +367,11 @@ def qec_cycle(scenario: QecScenario) -> QecCycleResult:
         p * np.kron(b, np.outer(m, m.conj()))
         for p, b, m in zip(weights, branches, scenario.apparatus_states)
     )
-    joint = DensityOperator(space_sa, rho_sa, tol)
+    joint = DensityOperator(space_sa, rho_sa)
     rho_a = sum(p * np.outer(m, m.conj()) for p, m in zip(weights, scenario.apparatus_states))
-    apparatus = DensityOperator(TensorSpace.single("A", m_dim), rho_a, tol)
-    info_gain = mutual_information(joint, ({"S"}, {"A"}), tol).nats
-    s_apparatus = von_neumann_entropy(apparatus, tol).nats
+    apparatus = DensityOperator(TensorSpace.single("A", m_dim), rho_a)
+    info_gain = mutual_information(joint, ({"S"}, {"A"})).nats
+    s_apparatus = von_neumann_entropy(apparatus).nats
 
     # Conditional recovery weighted by the apparatus readout statistics.
     probs = _measurement_probabilities(scenario)
@@ -392,9 +383,9 @@ def qec_cycle(scenario: QecScenario) -> QecCycleResult:
             rho_rec += p * probs[j, i] * (e_op.conj().T @ b @ e_op)
     rho_rec = (rho_rec + rho_rec.conj().T) / 2.0
     rho_rec /= np.trace(rho_rec).real
-    recovered = DensityOperator(space_s, rho_rec, tol)
-    s_recovered = von_neumann_entropy(recovered, tol).nats
-    fidelity = uhlmann_fidelity(encoded, recovered, tol)
+    recovered = DensityOperator(space_s, rho_rec)
+    s_recovered = von_neumann_entropy(recovered).nats
+    fidelity = uhlmann_fidelity(encoded, recovered)
 
     steps = (
         LedgerStep(
@@ -444,8 +435,8 @@ def imperfect_erasure_entropy(scenario: QecScenario) -> float:
         raise InputError(f"apparatus records must carry equal weights, got {w1}, {w2}")
     m1, m2 = scenario.apparatus_states
     mix = 0.5 * (np.outer(m1, m1.conj()) + np.outer(m2, m2.conj()))
-    state = DensityOperator.from_matrix(mix, tol=scenario.tol)
-    return von_neumann_entropy(state, scenario.tol).nats
+    state = DensityOperator.from_matrix(mix)
+    return von_neumann_entropy(state).nats
 
 
 @dataclass(frozen=True)
@@ -471,7 +462,6 @@ def recovery_fidelity_vs_overlap(template: QecScenario, overlaps) -> list[Overla
             input_state=template.input_state,
             errors=template.errors,
             apparatus_states=tuple(states),
-            tol=template.tol,
         )
         result = qec_cycle(scenario)
         rows.append(

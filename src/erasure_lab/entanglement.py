@@ -23,13 +23,13 @@ through the package's density-operator types.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import EntropyValue, binary_entropy, shannon_entropy, von_neumann_entropy
+from .entropy import EntropyValue, binary_entropy, cross_term_eig, shannon_entropy, von_neumann_entropy
 from .errors import InputError
-from .linalg import DEFAULT_TOL, DensityOperator, TensorSpace, hermitian_eig
+from .linalg import EIG_FLOOR, DensityOperator, TensorSpace, hermitian_eig, require_hermitian
 
 __all__ = [
     "SolverOptions",
@@ -49,38 +49,41 @@ __all__ = [
     "purification_report",
 ]
 
-_EIG_FLOOR = DEFAULT_TOL.eig_floor
-_KERNEL_MASS_TOL = 1e-9
 # Schmidt coefficients at or below this fraction of the largest are rounding.
 _SCHMIDT_CUTOFF = 1e-12
 
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Knobs for the iterative solvers; defaults match the desk-scale targets."""
+    """The solver settings that scenario files and the CLI choose; every other
+    numerical setting is one of the module constants below."""
 
     gap_tol: float = 1e-5
     max_iter: int = 2000
     seed: int = 0
     max_factor_dim: int = 4
-    # linear oracle (closest product state)
-    oracle_starts: int = 8
-    oracle_rounds: int = 200
-    oracle_gain_tol: float = 1e-10
-    # step-size search along the Frank-Wolfe segment
-    line_search_points: int = 17
-    line_search_rounds: int = 4
-    # stagnation guard
-    stall_tol: float = 1e-13
-    stall_iterations: int = 50
-    # decomposition optimizer
     eoc_restarts: int = 32
     eoc_max_steps: int = 5000
-    eoc_initial_step: float = 0.5
-    eoc_step_grow: float = 1.4
-    eoc_step_shrink: float = 0.9
-    eoc_min_step: float = 1e-7
-    eoc_patience: int = 300
+
+
+# linear oracle (closest product state)
+_ORACLE_STARTS = 8
+_ORACLE_ROUNDS = 200
+_ORACLE_GAIN_TOL = 1e-10
+# step-size search along the Frank-Wolfe segment
+_LINE_SEARCH_POINTS = 17
+_LINE_SEARCH_ROUNDS = 4
+# stagnation guard
+_STALL_TOL = 1e-13
+_STALL_ITERATIONS = 50
+# identity weight mixed into a rank-deficient Frank-Wolfe iterate
+_REGULARIZATION_EPS = 1e-9
+# decomposition optimizer
+_EOC_INITIAL_STEP = 0.5
+_EOC_STEP_GROW = 1.4
+_EOC_STEP_SHRINK = 0.9
+_EOC_MIN_STEP = 1e-7
+_EOC_PATIENCE = 300
 
 
 def _bipartite_dims(rho: DensityOperator, max_factor_dim: int | None = None) -> tuple[int, int]:
@@ -157,7 +160,7 @@ class SeparableMixture:
         total = 0.0
         for w, ka, kb in self.terms:
             w = float(w)
-            if w < -1e-12:
+            if not w >= -1e-12:  # also rejects NaN
                 raise InputError(f"mixture weight {w} is negative")
             ka = np.asarray(ka, dtype=complex).reshape(-1)
             kb = np.asarray(kb, dtype=complex).reshape(-1)
@@ -165,7 +168,7 @@ class SeparableMixture:
                 raise InputError("mixture kets must be unit vectors")
             cleaned.append((w, ka, kb))
             total += w
-        if abs(total - 1.0) > 1e-9:
+        if not abs(total - 1.0) <= 1e-9:
             raise InputError(f"mixture weights sum to {total}, not 1")
         object.__setattr__(self, "terms", tuple(cleaned))
 
@@ -231,18 +234,18 @@ def _top_eigvec_batch(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w[..., -1], v[..., :, -1]
 
 
-def _product_maximize(g: np.ndarray, dims: tuple[int, int], gen: np.random.Generator,
-                      opts: SolverOptions) -> tuple[np.ndarray, np.ndarray, float]:
+def _product_maximize(g: np.ndarray, dims: tuple[int, int],
+                      gen: np.random.Generator) -> tuple[np.ndarray, np.ndarray, float]:
     """Locally maximize <a,b|G|a,b> by alternating eigenvector updates.
 
-    Runs opts.oracle_starts random starts plus one spectral start (the top
+    Runs _ORACLE_STARTS random starts plus one spectral start (the top
     Schmidt vector of G's dominant eigenvector) in a single batch and returns
     the best product pair found.
     """
     d_a, d_b = dims
     g4 = g.reshape(d_a, d_b, d_a, d_b)
 
-    n_starts = opts.oracle_starts + 1
+    n_starts = _ORACLE_STARTS + 1
     b = gen.normal(size=(n_starts, d_b)) + 1j * gen.normal(size=(n_starts, d_b))
     top = np.linalg.eigh((g + g.conj().T) / 2.0)[1][:, -1]
     _, _, vh = np.linalg.svd(top.reshape(d_a, d_b))
@@ -252,13 +255,13 @@ def _product_maximize(g: np.ndarray, dims: tuple[int, int], gen: np.random.Gener
     values = np.full(n_starts, -np.inf)
     best_value = -np.inf
     a = np.zeros((n_starts, d_a), dtype=complex)
-    for _ in range(opts.oracle_rounds):
+    for _ in range(_ORACLE_ROUNDS):
         m_a = np.einsum("ikjl,sk,sl->sij", g4, b.conj(), b)
         _, a = _top_eigvec_batch(m_a)
         m_b = np.einsum("ikjl,si,sj->skl", g4, a.conj(), a)
         values, b = _top_eigvec_batch(m_b)
         new_best = float(values.max())
-        if new_best - best_value < opts.oracle_gain_tol:
+        if new_best - best_value < _ORACLE_GAIN_TOL:
             best_value = max(best_value, new_best)
             break
         best_value = new_best
@@ -274,10 +277,9 @@ def closest_product_state(g, dims: tuple[int, int],
     d_a, d_b = dims
     if g.shape != (d_a * d_b, d_a * d_b):
         raise InputError(f"matrix shape {g.shape} does not match dims {dims}")
-    if np.max(np.abs(g - g.conj().T)) > DEFAULT_TOL.hermiticity:
-        raise InputError("expected a Hermitian matrix")
+    require_hermitian(g)
     gen = np.random.default_rng(opts.seed)
-    ket_a, ket_b, _ = _product_maximize(g, dims, gen, opts)
+    ket_a, ket_b, _ = _product_maximize(g, dims, gen)
     return ket_a, ket_b
 
 
@@ -321,13 +323,7 @@ class EreResult:
 
 def _objective(rho: np.ndarray, s_rho: float, w: np.ndarray, u: np.ndarray) -> float:
     """S(rho || omega) from omega's eigensystem; inf on a support violation."""
-    diag = np.real(np.einsum("ik,ij,jk->k", u.conj(), rho, u))
-    diag = np.clip(diag, 0.0, None)
-    kernel = w <= _EIG_FLOOR
-    if float(diag[kernel].sum()) > _KERNEL_MASS_TOL:
-        return math.inf
-    live = ~kernel
-    return float(-(diag[live] * np.log(w[live])).sum() - s_rho)
+    return float(cross_term_eig(rho, w, u)) - s_rho
 
 
 def _log_dd1(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -374,21 +370,15 @@ def _neg_gradient(rho: np.ndarray, w: np.ndarray, u: np.ndarray) -> np.ndarray:
     return (out + out.conj().T) / 2.0
 
 
-def _line_search(rho: np.ndarray, s_rho: float, omega: np.ndarray, vertex: np.ndarray,
-                 opts: SolverOptions) -> tuple[float, float]:
+def _line_search(rho: np.ndarray, s_rho: float, omega: np.ndarray,
+                 vertex: np.ndarray) -> tuple[float, float]:
     """Minimize the objective along (1-g) omega + g vertex with nested grids."""
     lo, hi = 0.0, 1.0
     best_g, best_f = 0.0, math.inf
-    for _ in range(opts.line_search_rounds):
-        gammas = np.linspace(lo, hi, opts.line_search_points)
+    for _ in range(_LINE_SEARCH_ROUNDS):
+        gammas = np.linspace(lo, hi, _LINE_SEARCH_POINTS)
         stack = (1.0 - gammas)[:, None, None] * omega + gammas[:, None, None] * vertex
-        w, u = np.linalg.eigh(stack)
-        diag = np.clip(np.real(np.einsum("gik,ij,gjk->gk", u.conj(), rho, u)), 0.0, None)
-        kernel = w <= _EIG_FLOOR
-        with np.errstate(divide="ignore", invalid="ignore"):
-            logw = np.where(kernel, 0.0, np.log(np.where(kernel, 1.0, w)))
-        f = -(diag * logw).sum(axis=1) - s_rho
-        f = np.where((diag * kernel).sum(axis=1) > _KERNEL_MASS_TOL, math.inf, f)
+        f = cross_term_eig(rho, *np.linalg.eigh(stack)) - s_rho
         i = int(np.argmin(f))
         if f[i] < best_f:
             best_f, best_g = float(f[i]), float(gammas[i])
@@ -426,8 +416,8 @@ def _frank_wolfe(rho_m: np.ndarray, s_rho: float, dims: tuple[int, int],
     and stops with "converged" when the duality gap <g(omega), omega - vertex>
     lies in [0, opts.gap_tol]. A negative gap means the oracle returned a
     local maximum and certifies nothing, so the run goes on; it ends as
-    "stalled" once opts.stall_iterations steps in a row gained less than
-    opts.stall_tol, or as "iteration-cap".
+    "stalled" once _STALL_ITERATIONS steps in a row gained less than
+    _STALL_TOL, or as "iteration-cap".
     """
     d = dims[0] * dims[1]
     gen = np.random.default_rng(opts.seed)
@@ -440,11 +430,11 @@ def _frank_wolfe(rho_m: np.ndarray, s_rho: float, dims: tuple[int, int],
     trace: list[tuple[int, float, float]] = []
     status = "iteration-cap"
     stall = 0
-    eps = DEFAULT_TOL.regularization_eps
+    eps = _REGULARIZATION_EPS
 
     for it in range(opts.max_iter + 1):
         w, u = np.linalg.eigh(omega)
-        if w[0] <= _EIG_FLOOR:
+        if w[0] <= EIG_FLOOR:
             # keep the iterate full rank so the gradient stays finite
             omega = (1.0 - eps) * omega + eps * np.eye(d, dtype=complex) / d
             base = SeparableMixture.maximally_mixed(dims)
@@ -454,13 +444,13 @@ def _frank_wolfe(rho_m: np.ndarray, s_rho: float, dims: tuple[int, int],
             w, u = np.linalg.eigh(omega)
         f = _objective(rho_m, s_rho, w, u)
         g_neg = _neg_gradient(rho_m, w, u)
-        ket_a, ket_b, vertex_value = _product_maximize(g_neg, dims, gen, opts)
+        ket_a, ket_b, vertex_value = _product_maximize(g_neg, dims, gen)
         gap = vertex_value - float(np.real(np.trace(g_neg @ omega)))
         trace.append((it, f, gap))
         if 0.0 <= gap <= opts.gap_tol:
             status = "converged"
             break
-        if stall >= opts.stall_iterations:
+        if stall >= _STALL_ITERATIONS:
             status = "stalled"
             break
         if it == opts.max_iter:
@@ -468,8 +458,8 @@ def _frank_wolfe(rho_m: np.ndarray, s_rho: float, dims: tuple[int, int],
 
         ket = np.kron(ket_a, ket_b)
         vertex = np.outer(ket, ket.conj())
-        gamma, f_new = _line_search(rho_m, s_rho, omega, vertex, opts)
-        stall = stall + 1 if f - f_new < opts.stall_tol else 0
+        gamma, f_new = _line_search(rho_m, s_rho, omega, vertex)
+        stall = stall + 1 if f - f_new < _STALL_TOL else 0
         if gamma > 0.0:
             omega = (1.0 - gamma) * omega + gamma * vertex
             omega = (omega + omega.conj().T) / 2.0
@@ -750,7 +740,7 @@ def entanglement_of_creation(rho: DensityOperator,
     opts = opts or SolverOptions()
     dims = _bipartite_dims(rho, opts.max_factor_dim)
     lam, vecs = hermitian_eig(rho.matrix)
-    keep = lam > _EIG_FLOOR
+    keep = lam > EIG_FLOOR
     lam, vecs = lam[keep], vecs[:, keep]
     r = int(lam.size)
     amplitudes = vecs * np.sqrt(lam)  # (d, r), rho = W W^dag
@@ -808,12 +798,12 @@ def _eoc_descent(amplitudes: np.ndarray, dims: tuple[int, int], k: int,
     t = _random_isometries(gen, n, k, r)
     wt = amplitudes.T  # (r, d)
     current = _branch_cost(t @ wt, dims)
-    step = np.full(n, opts.eoc_initial_step)
+    step = np.full(n, _EOC_INITIAL_STEP)
     best_seen = current.min()
     since_best = 0
     exhausted = True
     for _ in range(opts.eoc_max_steps):
-        active = step >= opts.eoc_min_step
+        active = step >= _EOC_MIN_STEP
         if not active.any() or current.min() <= stop_at:
             exhausted = False
             break
@@ -823,14 +813,14 @@ def _eoc_descent(amplitudes: np.ndarray, dims: tuple[int, int], k: int,
         improved = (values < current - 1e-15) & active
         t[improved] = cand[improved]
         current[improved] = values[improved]
-        step[improved] *= opts.eoc_step_grow
-        step[~improved & active] *= opts.eoc_step_shrink
+        step[improved] *= _EOC_STEP_GROW
+        step[~improved & active] *= _EOC_STEP_SHRINK
         if current.min() < best_seen - 1e-10:
             best_seen = current.min()
             since_best = 0
         else:
             since_best += 1
-            if since_best >= opts.eoc_patience:
+            if since_best >= _EOC_PATIENCE:
                 exhausted = False
                 break
     best = int(np.argmin(current))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .linalg import DEFAULT_TOL, DensityOperator, Tolerances, hermitian_eig
+from .linalg import EIG_FLOOR, PSD_TOL, DensityOperator, hermitian_eig
 
 __all__ = [
     "LN2",
@@ -21,6 +21,7 @@ __all__ = [
     "von_neumann_entropy",
     "relative_entropy",
     "cross_term",
+    "cross_term_eig",
     "mutual_information",
     "shannon_entropy",
     "binary_entropy",
@@ -80,52 +81,56 @@ def _clamped(value: float, slack: float = 1e-9) -> EntropyValue:
     return EntropyValue(value if value > 0.0 else 0.0)
 
 
-def _entropy_of_eigenvalues(lam: np.ndarray, tol: Tolerances) -> float:
-    lam = np.where((lam < 0.0) & (lam >= -tol.psd), 0.0, lam)
+def _entropy_of_eigenvalues(lam: np.ndarray) -> float:
+    lam = np.where((lam < 0.0) & (lam >= -PSD_TOL), 0.0, lam)
     if lam.min() < 0.0:
         raise InputError(f"negative probability {lam.min()} in entropy evaluation")
     pos = lam[lam > 0.0]
     return float(-np.sum(pos * np.log(pos)))
 
 
-def von_neumann_entropy(rho: DensityOperator, tol: Tolerances = DEFAULT_TOL) -> EntropyValue:
+def von_neumann_entropy(rho: DensityOperator) -> EntropyValue:
     """S(rho) = -tr(rho ln rho) in nats, with 0 ln 0 = 0."""
-    lam, _ = hermitian_eig(rho.matrix, tol=tol)
-    return _clamped(_entropy_of_eigenvalues(lam, tol))
+    lam, _ = hermitian_eig(rho.matrix)
+    return _clamped(_entropy_of_eigenvalues(lam))
 
 
-def _cross_term_nats(rho: DensityOperator, omega: DensityOperator,
-                     tol: Tolerances) -> float:
+def cross_term_eig(rho: np.ndarray, w: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """-tr(rho ln omega) from omega's eigensystem, batched over leading axes.
+
+    ``w`` (..., d) holds the eigenvalues and ``u`` (..., d, d) the
+    eigenvectors as columns. Eigenvalues at or below EIG_FLOOR are omega's
+    kernel; where rho puts more than SUPPORT_OVERLAP_TOL of its mass there,
+    the value is inf.
+    """
+    mass = np.clip(np.real(np.einsum("...ik,ij,...jk->...k", u.conj(), rho, u)), 0.0, None)
+    kernel = w <= EIG_FLOOR
+    value = -(mass * np.log(np.where(kernel, 1.0, w))).sum(axis=-1)
+    return np.where((mass * kernel).sum(axis=-1) > SUPPORT_OVERLAP_TOL, math.inf, value)
+
+
+def _cross_term_nats(rho: DensityOperator, omega: DensityOperator) -> float:
     """-tr(rho ln omega); math.inf when rho leaks outside omega's support."""
     if rho.dim != omega.dim:
         raise InputError(f"dimension mismatch: {rho.dim} vs {omega.dim}")
-    lam, vecs = hermitian_eig(omega.matrix, tol=tol)
-    overlaps = np.real(np.einsum("ik,ij,jk->k", vecs.conj(), rho.matrix, vecs))
-    overlaps = np.clip(overlaps, 0.0, None)
-    kernel = lam <= tol.eig_floor
-    if float(np.sum(overlaps[kernel])) > SUPPORT_OVERLAP_TOL:
-        return math.inf
-    supported = ~kernel
-    return float(-np.sum(overlaps[supported] * np.log(lam[supported])))
+    return float(cross_term_eig(rho.matrix, *hermitian_eig(omega.matrix)))
 
 
-def cross_term(rho: DensityOperator, omega: DensityOperator,
-               tol: Tolerances = DEFAULT_TOL) -> EntropyValue:
+def cross_term(rho: DensityOperator, omega: DensityOperator) -> EntropyValue:
     """Erasure cost term -tr(rho ln omega) in nats."""
-    value = _cross_term_nats(rho, omega, tol)
+    value = _cross_term_nats(rho, omega)
     return INFINITE if math.isinf(value) else _clamped(value)
 
 
-def relative_entropy(rho: DensityOperator, omega: DensityOperator,
-                     tol: Tolerances = DEFAULT_TOL) -> EntropyValue:
+def relative_entropy(rho: DensityOperator, omega: DensityOperator) -> EntropyValue:
     """Quantum relative entropy S(rho || omega) = -tr(rho ln omega) - S(rho)."""
-    value = _cross_term_nats(rho, omega, tol)
+    value = _cross_term_nats(rho, omega)
     if math.isinf(value):
         return INFINITE
-    return _clamped(value - von_neumann_entropy(rho, tol).nats)
+    return _clamped(value - von_neumann_entropy(rho).nats)
 
 
-def mutual_information(rho: DensityOperator, cut: tuple, tol: Tolerances = DEFAULT_TOL) -> EntropyValue:
+def mutual_information(rho: DensityOperator, cut: tuple) -> EntropyValue:
     """I(S:A) = S(rho_S) + S(rho_A) - S(rho) across a two-block partition of the labels."""
     left, right = (set(cut[0]), set(cut[1]))
     labels = set(rho.space.labels)
@@ -133,20 +138,20 @@ def mutual_information(rho: DensityOperator, cut: tuple, tol: Tolerances = DEFAU
         raise InputError(
             f"cut ({sorted(left)}, {sorted(right)}) does not partition labels {sorted(labels)}"
         )
-    s_left = von_neumann_entropy(rho.reduced(left), tol).nats
-    s_right = von_neumann_entropy(rho.reduced(right), tol).nats
-    s_joint = von_neumann_entropy(rho, tol).nats
+    s_left = von_neumann_entropy(rho.reduced(left)).nats
+    s_right = von_neumann_entropy(rho.reduced(right)).nats
+    s_joint = von_neumann_entropy(rho).nats
     return _clamped(s_left + s_right - s_joint)
 
 
-def shannon_entropy(p, tol: Tolerances = DEFAULT_TOL) -> EntropyValue:
+def shannon_entropy(p) -> EntropyValue:
     """-sum p_i ln p_i for a probability vector (sum within 1e-9 of 1)."""
     arr = np.asarray(p, dtype=float).reshape(-1)
     if arr.size == 0:
         raise InputError("empty probability vector")
-    if abs(arr.sum() - 1.0) > 1e-9:
+    if not abs(arr.sum() - 1.0) <= 1e-9:  # also rejects NaN
         raise InputError(f"probabilities sum to {arr.sum()}, not 1")
-    return _clamped(_entropy_of_eigenvalues(arr, tol))
+    return _clamped(_entropy_of_eigenvalues(arr))
 
 
 def binary_entropy(x: float) -> EntropyValue:

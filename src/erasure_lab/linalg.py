@@ -13,44 +13,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, SupportError
+from .errors import InputError
 
 __all__ = [
-    "Tolerances",
-    "DEFAULT_TOL",
     "TensorSpace",
     "DensityOperator",
     "tensor_product",
     "partial_trace",
     "hermitian_eig",
-    "matrix_function",
-    "matrix_log",
-    "matrix_exp",
     "matrix_to_json",
     "matrix_from_json",
     "vector_to_json",
     "vector_from_json",
 ]
 
-
-@dataclass(frozen=True)
-class Tolerances:
-    """Numerical tolerances; the module-level DEFAULT_TOL can be overridden per call.
-
-    ``hermiticity``, ``unit_trace`` and ``psd`` are the validation thresholds of
-    ``require_hermitian`` and ``DensityOperator``; ``eig_floor`` is the
-    smallest eigenvalue counted as support, and ``regularization_eps`` the
-    identity weight mixed in by ``matrix_function(..., regularize=True)``.
-    """
-
-    hermiticity: float = 1e-10
-    unit_trace: float = 1e-10
-    psd: float = 1e-10
-    eig_floor: float = 1e-12
-    regularization_eps: float = 1e-9
-
-
-DEFAULT_TOL = Tolerances()
+# Validation thresholds of ``require_hermitian`` and ``DensityOperator``.
+HERMITICITY_TOL = 1e-10
+UNIT_TRACE_TOL = 1e-10
+PSD_TOL = 1e-10
+# Eigenvalues at or below this count as outside the support.
+EIG_FLOOR = 1e-12
 
 
 def _as_square_array(m) -> np.ndarray:
@@ -60,11 +42,13 @@ def _as_square_array(m) -> np.ndarray:
     return a
 
 
-def require_hermitian(m: np.ndarray, tol: float = DEFAULT_TOL.hermiticity) -> np.ndarray:
+def require_hermitian(m: np.ndarray) -> np.ndarray:
     a = _as_square_array(m)
     dev = np.max(np.abs(a - a.conj().T)) if a.size else 0.0
-    if not dev <= tol:  # also rejects NaN
-        raise InputError(f"matrix is not Hermitian: max |M - M^dag| = {dev:.3e} > {tol:.1e}")
+    if not dev <= HERMITICITY_TOL:  # also rejects NaN
+        raise InputError(
+            f"matrix is not Hermitian: max |M - M^dag| = {dev:.3e} > {HERMITICITY_TOL:.1e}"
+        )
     return a
 
 
@@ -130,13 +114,12 @@ def tensor_product(a, b) -> np.ndarray:
 class DensityOperator:
     """Positive-semidefinite unit-trace operator over a labeled tensor space.
 
-    Construction validates Hermiticity, unit trace and positivity; use
-    ``tol`` to relax or tighten the thresholds.
+    Construction validates Hermiticity, unit trace and positivity to the
+    module thresholds ``HERMITICITY_TOL``, ``UNIT_TRACE_TOL`` and ``PSD_TOL``.
     """
 
     space: TensorSpace
     matrix: np.ndarray
-    tol: Tolerances = DEFAULT_TOL
 
     def __post_init__(self):
         m = _as_square_array(self.matrix)
@@ -145,34 +128,34 @@ class DensityOperator:
             raise InputError(
                 f"matrix dimension {m.shape[0]} does not match space dimension {self.space.dim}"
             )
-        require_hermitian(m, self.tol.hermiticity)
+        require_hermitian(m)
         tr = complex(np.trace(m))
-        if not abs(tr - 1.0) <= self.tol.unit_trace:
+        if not abs(tr - 1.0) <= UNIT_TRACE_TOL:
             raise InputError(f"trace must be 1, got {tr}")
-        lam, _ = hermitian_eig(m, tol=self.tol)
-        if not lam[-1] >= -self.tol.psd:
+        lam, _ = hermitian_eig(m)
+        if not lam[-1] >= -PSD_TOL:
             raise InputError(f"matrix is not positive semidefinite: min eigenvalue {lam[-1]:.3e}")
 
     @staticmethod
-    def from_matrix(m, space: TensorSpace | None = None, tol: Tolerances = DEFAULT_TOL) -> "DensityOperator":
+    def from_matrix(m, space: TensorSpace | None = None) -> "DensityOperator":
         a = _as_square_array(m)
         if space is None:
             space = TensorSpace.single("q", a.shape[0])
-        return DensityOperator(space, a, tol)
+        return DensityOperator(space, a)
 
     @staticmethod
-    def from_ket(vec, space: TensorSpace | None = None, tol: Tolerances = DEFAULT_TOL) -> "DensityOperator":
+    def from_ket(vec, space: TensorSpace | None = None) -> "DensityOperator":
         v = np.asarray(vec, dtype=complex).reshape(-1)
         n = np.linalg.norm(v)
         if abs(n - 1.0) > 1e-9:
             raise InputError(f"ket must be unit-norm, got |v| = {n}")
         v = v / n
-        return DensityOperator.from_matrix(np.outer(v, v.conj()), space, tol)
+        return DensityOperator.from_matrix(np.outer(v, v.conj()), space)
 
     @staticmethod
-    def maximally_mixed(space: TensorSpace, tol: Tolerances = DEFAULT_TOL) -> "DensityOperator":
+    def maximally_mixed(space: TensorSpace) -> "DensityOperator":
         d = space.dim
-        return DensityOperator(space, np.eye(d, dtype=complex) / d, tol)
+        return DensityOperator(space, np.eye(d, dtype=complex) / d)
 
     @property
     def dim(self) -> int:
@@ -225,52 +208,19 @@ def partial_trace(rho: DensityOperator, keep) -> DensityOperator:
     reduced = np.einsum(subscript, t)
     d_keep = int(math.prod(dims[i] for i in out)) if out else 1
     reduced = reduced.reshape(d_keep, d_keep)
-    return DensityOperator(space.subspace(keep_set), reduced, rho.tol)
+    return DensityOperator(space.subspace(keep_set), reduced)
 
 
-def hermitian_eig(m, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+def hermitian_eig(m) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix by LAPACK (``numpy.linalg.eigh``).
 
     Returns (eigenvalues descending, eigenvectors as orthonormal columns).
-    The input must be Hermitian to ``tol.hermiticity``; its Hermitian part is
+    The input must be Hermitian to ``HERMITICITY_TOL``; its Hermitian part is
     what gets diagonalised.
     """
-    a = require_hermitian(m, tol.hermiticity)
+    a = require_hermitian(m)
     lam, v = np.linalg.eigh((a + a.conj().T) / 2.0)
     return lam[::-1], v[:, ::-1]
-
-
-def matrix_function(m, f, domain_floor: float | None = None, regularize: bool = False,
-                    tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Spectral function V f(Lambda) V^dag of a Hermitian matrix.
-
-    ``domain_floor`` guards functions undefined below a threshold (log needs
-    eigenvalues above ``tol.eig_floor``); with ``regularize`` the matrix is
-    first mixed as (1-eps) M + eps I/d instead of raising SupportError.
-    """
-    a = require_hermitian(m, tol.hermiticity)
-    d = a.shape[0]
-    lam, vecs = hermitian_eig(a, tol=tol)
-    if domain_floor is not None and lam[-1] < domain_floor:
-        if not regularize:
-            raise SupportError(
-                f"eigenvalue {lam[-1]:.3e} below domain floor {domain_floor:.1e}"
-            )
-        eps = tol.regularization_eps
-        a = (1.0 - eps) * a + eps * np.eye(d, dtype=complex) / d
-        lam, vecs = hermitian_eig(a, tol=tol)
-        if lam[-1] < domain_floor:
-            raise SupportError("regularization could not lift eigenvalues above the floor")
-    fv = np.asarray(f(lam), dtype=complex)
-    return (vecs * fv) @ vecs.conj().T
-
-
-def matrix_log(m, regularize: bool = False, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    return matrix_function(m, np.log, domain_floor=tol.eig_floor, regularize=regularize, tol=tol)
-
-
-def matrix_exp(m, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    return matrix_function(m, np.exp, tol=tol)
 
 
 def matrix_to_json(m) -> dict:

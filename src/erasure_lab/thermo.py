@@ -14,14 +14,7 @@ import numpy as np
 
 from .entropy import EntropyValue, von_neumann_entropy
 from .errors import InputError
-from .linalg import (
-    DEFAULT_TOL,
-    DensityOperator,
-    TensorSpace,
-    Tolerances,
-    hermitian_eig,
-    require_hermitian,
-)
+from .linalg import DensityOperator, TensorSpace, hermitian_eig, require_hermitian
 
 __all__ = [
     "HamiltonianSpec",
@@ -46,13 +39,12 @@ class HamiltonianSpec:
     values stable.
     """
 
-    def __init__(self, matrix, beta: float, tol: Tolerances = DEFAULT_TOL):
-        self.matrix = require_hermitian(matrix, tol.hermiticity)
+    def __init__(self, matrix, beta: float):
+        self.matrix = require_hermitian(matrix)
         if not beta > 0.0:
             raise InputError(f"beta must be positive, got {beta}")
         self.beta = float(beta)
-        self.tol = tol
-        energies, frame = hermitian_eig(self.matrix, tol=tol)
+        energies, frame = hermitian_eig(self.matrix)
         self.energies = energies  # descending
         self.frame = frame
         shifted = -self.beta * (energies - energies.min())
@@ -81,7 +73,7 @@ def gibbs_state(h: HamiltonianSpec, space: TensorSpace | None = None) -> Density
     """Thermal equilibrium state e^(-beta H)/Z; always full rank."""
     m = (h.frame * h.gibbs_weights) @ h.frame.conj().T
     m = (m + m.conj().T) / 2.0
-    return DensityOperator.from_matrix(m, space, h.tol)
+    return DensityOperator.from_matrix(m, space)
 
 
 def free_energy(rho: DensityOperator, h: HamiltonianSpec) -> float:
@@ -89,7 +81,7 @@ def free_energy(rho: DensityOperator, h: HamiltonianSpec) -> float:
     if rho.dim != h.dim:
         raise InputError(f"dimension mismatch: state {rho.dim} vs Hamiltonian {h.dim}")
     u = float(np.real(np.trace(rho.matrix @ h.matrix)))
-    return u - h.temperature * von_neumann_entropy(rho, h.tol).nats
+    return u - h.temperature * von_neumann_entropy(rho).nats
 
 
 @dataclass(frozen=True)
@@ -145,12 +137,11 @@ def erasure_entropy(apparatus: DensityOperator, reservoir: HamiltonianSpec,
     )
 
 
-def trace_distance(a: DensityOperator, b: DensityOperator,
-                   tol: Tolerances = DEFAULT_TOL) -> float:
+def trace_distance(a: DensityOperator, b: DensityOperator) -> float:
     """(1/2) sum |eigenvalues of (a - b)|."""
     if a.dim != b.dim:
         raise InputError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    lam, _ = hermitian_eig(a.matrix - b.matrix, tol=tol)
+    lam, _ = hermitian_eig(a.matrix - b.matrix)
     return 0.5 * float(np.sum(np.abs(lam)))
 
 
@@ -172,7 +163,7 @@ def collision_step(apparatus: DensityOperator, reservoir_state: DensityOperator,
     rho, sigma = apparatus.matrix, reservoir_state.matrix
     out = c * c * rho + s * s * sigma + 1j * s * c * (sigma @ rho - rho @ sigma)
     out = (out + out.conj().T) / 2.0
-    return DensityOperator.from_matrix(out, apparatus.space, apparatus.tol)
+    return DensityOperator.from_matrix(out, apparatus.space)
 
 
 @dataclass(frozen=True)
@@ -220,7 +211,7 @@ def thermalize(apparatus: DensityOperator, reservoir: HamiltonianSpec,
     ``max_steps`` collisions; non-convergence is reported in the trace, not
     raised.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:  # also rejects NaN
         raise InputError(f"tol must be positive, got {tol}")
     if max_steps < 0:
         raise InputError(f"max_steps must be nonnegative, got {max_steps}")

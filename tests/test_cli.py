@@ -183,6 +183,19 @@ class TestSelftestCommand:
         assert result.passed, result.detail
 
 
+@pytest.mark.parametrize("command", [
+    ["erasure", "--scenario", str(EXAMPLES / "erasure.json")],
+    ["demon", "--scenario", str(EXAMPLES / "demon_classical.json")],
+    ["entanglement", "--scenario", str(EXAMPLES / "entanglement.json")],
+    ["selftest"],
+])
+def test_csv_format_is_rejected(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--format", "csv"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'csv'" in capsys.readouterr().err
+
+
 class TestEntryPoint:
     def test_module_invocation(self):
         proc = subprocess.run(

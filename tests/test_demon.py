@@ -258,6 +258,11 @@ class TestScenarioValidation:
         with pytest.raises(InputError):
             three_qubit_bit_flip_scenario(ket, weights=(0.5, 0.2, 0.1, 0.1))
 
+    def test_nan_weight_rejected(self):
+        ket = np.array([1.0, 0.0])
+        with pytest.raises(InputError):
+            three_qubit_bit_flip_scenario(ket, weights=(math.nan, 0.5, 0.25, 0.25))
+
     def test_non_unitary_error(self):
         c0 = np.zeros(2, dtype=complex)
         c0[0] = 1.0

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from erasure_lab import entanglement
 from erasure_lab.entanglement import (
     EreResult,
     SeparableMixture,
@@ -195,6 +196,12 @@ class TestClosestProductState:
         with pytest.raises(InputError):
             closest_product_state(g, (2, 2))
 
+    def test_nan_matrix_rejected(self):
+        g = np.eye(4, dtype=complex) / 4
+        g[1, 1] = np.nan
+        with pytest.raises(InputError):
+            closest_product_state(g, (2, 2))
+
 
 class TestRelativeEntropyOfEntanglement:
     def test_separable_inputs_near_zero(self):
@@ -364,9 +371,10 @@ class TestEntanglementOfCreation:
             assert result.gap <= opts.gap_tol
             assert len(result.decomposition) == 4  # the K sweep stopped at the rank
 
-    def test_two_qubit_descent_short_of_concurrence_is_not_converged(self):
+    def test_two_qubit_descent_short_of_concurrence_is_not_converged(self, monkeypatch):
+        monkeypatch.setattr(entanglement, "_EOC_PATIENCE", 1)
         rho = random_two_qubit_mixed(rng(26))
-        opts = SolverOptions(gap_tol=1e-9, eoc_restarts=1, eoc_patience=1)
+        opts = SolverOptions(gap_tol=1e-9, eoc_restarts=1)
         result = entanglement_of_creation(rho, opts)
         assert result.status in ("stalled", "step-cap")
         assert result.gap > opts.gap_tol
@@ -411,9 +419,11 @@ class TestBeyondTwoQubits:
         assert result.value == pytest.approx(wootters_eof_nats(matrix), abs=1e-3)
         assert result.gap is None
 
-    def test_stall_guard_reports_stalled(self):
+    def test_stall_guard_reports_stalled(self, monkeypatch):
+        monkeypatch.setattr(entanglement, "_STALL_TOL", 1.0)
+        monkeypatch.setattr(entanglement, "_STALL_ITERATIONS", 2)
         rho = embed_in_two_by_three(bell_diagonal(self.WEIGHTS))
-        opts = SolverOptions(gap_tol=1e-6, stall_tol=1.0, stall_iterations=2)
+        opts = SolverOptions(gap_tol=1e-6)
         result = relative_entropy_of_entanglement(rho, opts)
         assert result.status == "stalled"
         assert len(result.convergence) == 3
@@ -500,6 +510,11 @@ class TestSeparableMixture:
         ka = np.array([1.0, 0.0])
         with pytest.raises(InputError):
             SeparableMixture(((0.5, ka, ka),))
+
+    def test_nan_weight_rejected(self):
+        ka = np.array([1.0, 0.0])
+        with pytest.raises(InputError):
+            SeparableMixture(((math.nan, ka, ka), (1.0, ka, ka)))
 
     def test_kets_must_be_unit(self):
         ka = np.array([1.0, 1.0])

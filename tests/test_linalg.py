@@ -1,16 +1,12 @@
 import numpy as np
 import pytest
 
-from erasure_lab.errors import InputError, SupportError
+from erasure_lab.errors import InputError
 from erasure_lab.linalg import (
     DensityOperator,
     TensorSpace,
-    Tolerances,
     hermitian_eig,
-    matrix_exp,
     matrix_from_json,
-    matrix_function,
-    matrix_log,
     matrix_to_json,
     partial_trace,
     tensor_product,
@@ -198,32 +194,6 @@ class TestHermitianEig:
             hermitian_eig(np.array([[np.nan, 0], [0, 1]], dtype=complex))
 
 
-class TestMatrixFunction:
-    def test_exp_of_zero(self):
-        assert np.allclose(matrix_exp(np.zeros((3, 3))), np.eye(3))
-
-    def test_log_exp_round_trip(self):
-        h = random_hermitian(5) * 0.3
-        assert np.max(np.abs(matrix_log(matrix_exp(h)) - h)) < 1e-8
-
-    def test_log_of_half_identity(self):
-        out = matrix_log(np.eye(2) / 2)
-        assert np.allclose(out, -np.log(2) * np.eye(2))
-
-    def test_log_of_singular_raises(self):
-        with pytest.raises(SupportError):
-            matrix_log(np.diag([1.0, 0.0]))
-
-    def test_log_with_regularization(self):
-        out = matrix_log(np.diag([1.0, 0.0]), regularize=True)
-        assert np.isfinite(out).all()
-
-    def test_generic_function(self):
-        m = random_hermitian(4)
-        sq = matrix_function(m, lambda x: x**2)
-        assert np.max(np.abs(sq - m @ m)) < 1e-9
-
-
 class TestDensityOperator:
     def test_rejects_non_hermitian(self):
         with pytest.raises(InputError):
@@ -254,10 +224,6 @@ class TestDensityOperator:
     def test_from_ket_requires_unit_norm(self):
         with pytest.raises(InputError):
             DensityOperator.from_ket(np.array([1.0, 1.0]))
-
-    def test_tolerance_override(self):
-        loose = Tolerances(unit_trace=1e-2)
-        DensityOperator.from_matrix(np.eye(2) * 0.501, tol=loose)
 
     def test_json_round_trip(self):
         space = TensorSpace.of(("A", 2), ("B", 2))

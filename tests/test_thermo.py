@@ -249,6 +249,11 @@ class TestThermalize:
         with pytest.raises(InputError):
             thermalize(random_state(2), h, 0.5, max_steps=10, tol=0.0)
 
+    def test_nan_tolerance_rejected(self):
+        h = random_hamiltonian(2)
+        with pytest.raises(InputError):
+            thermalize(random_state(2), h, 0.5, max_steps=10, tol=math.nan)
+
     def test_trace_serializes(self):
         h = random_hamiltonian(2)
         trace = thermalize(random_state(2), h, 0.5, max_steps=20, tol=1e-4)

@@ -261,7 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="gap target for the solvers (certified on 2x2)")
     p.add_argument("--max-iter", type=int, default=None,
                    help="iteration cap (barrier centring steps on 2x2, Frank-Wolfe steps elsewhere)")
-    p.add_argument("--with-eoc", action="store_true", help="also optimize the creation measure")
+    p.add_argument("--with-eoc", action="store_true", help="also compute the creation measure "
+                   "(closed form on two qubits, a random-restart descent on larger factors)")
     p.set_defaults(func=cmd_entanglement)
 
     p = sub.add_parser("selftest", help="run the built-in invariant suite")

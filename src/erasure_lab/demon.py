@@ -245,16 +245,6 @@ class QecScenario:
     def encoder(self) -> np.ndarray:
         return np.column_stack(self.codewords)
 
-    def errors_orthogonal(self, tol: float = 1e-9) -> bool:
-        """True when distinct errors map the code space to orthogonal subspaces."""
-        v = self.encoder
-        for i in range(len(self.errors)):
-            for j in range(i + 1, len(self.errors)):
-                block = v.conj().T @ self.errors[i][0].conj().T @ self.errors[j][0] @ v
-                if np.max(np.abs(block)) > tol:
-                    return False
-        return True
-
 
 @dataclass(frozen=True)
 class QecCycleResult:

@@ -11,9 +11,9 @@ alternating top-eigenvector updates with multiple starts; that oracle is
 local, so the Frank-Wolfe gap is not a certificate.
 
 The creation measure E_C minimizes average branch entanglement over all
-pure-state decompositions, parametrized as isometry mixes of the
-eigen-ensemble. On 2x2 Wootters' closed form is the descent's stopping
-certificate; elsewhere the descent is uncertified.
+pure-state decompositions. On 2x2 Wootters' construction gives the optimal
+decomposition in closed form; elsewhere an uncertified random-restart descent
+runs over isometry mixes of the eigen-ensemble.
 
 Solvers are deterministic given the seed in SolverOptions. They run over raw
 arrays with numpy's batched eigensolver internally; results are exposed back
@@ -590,52 +590,66 @@ def _ppt_barrier(rho: np.ndarray, s_rho: float, opts: SolverOptions) -> EreResul
     return EreResult(value=value, argmin=argmin, convergence=tuple(trace), status=status)
 
 
-def _preconcurrence(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Amplitudes V with matrix = V V^dag and tau = V^T (sigma_y (x) sigma_y) V.
+def _wootters_kets(matrix: np.ndarray) -> tuple[np.ndarray, float]:
+    """Wootters' optimal decomposition of a two-qubit state (PRL 80, 2245).
 
-    The singular values of the complex symmetric tau are Wootters' lambda_i,
-    the square roots of the eigenvalues of rho (sigma_y (x) sigma_y) rho^*
-    (sigma_y (x) sigma_y).
+    Returns (z, C): four unnormalized kets z_k, the columns of z, with
+    z z^dag = matrix and each of the state's concurrence C, so that their
+    average branch entanglement is the entanglement of formation. With
+    matrix = V V^dag and Y = sigma_y (x) sigma_y, the singular values of the
+    complex symmetric tau = V^T Y V are Wootters' lambda_i. A Takagi
+    factorization tau = U diag(lambda) U^T gives kets x = V conj(U) with
+    x_i^T Y x_j = lambda_i delta_ij; multiplying x_j by e^{i theta_j / 2} and
+    mixing the four by the Hadamard matrix gives
+    z_k^T Y z_k = sum_j e^{i theta_j} lambda_j / 4.
+
+    C = 0: the phases close sum_j e^{i theta_j} lambda_j = 0 (a triangle with
+    sides lambda_1, lambda_2 and lambda_3 + lambda_4), so every z_k is a
+    product ket. C > 0: phases (0, pi, pi, pi), i.e. x_j -> i x_j for j > 1,
+    give z_k^T Y z_k = C / 4. At most three real rotations of column pairs
+    then zero every f_k = z_k^T Y z_k - C |z_k|^2; they preserve
+    sum_k f_k = C - C tr(rho) = 0.
     """
     w, u = np.linalg.eigh(matrix)
     v = u * np.sqrt(np.clip(w, 0.0, None))
-    return v, v.T @ _YY @ v
-
-
-def _wootters_eof(matrix: np.ndarray) -> float:
-    """Closed-form two-qubit entanglement of formation in nats (Wootters 1998)."""
-    lam = np.linalg.svd(_preconcurrence(matrix)[1], compute_uv=False)
-    c = min(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]), 1.0)
-    return binary_entropy((1.0 - math.sqrt(1.0 - c * c)) / 2.0).nats
-
-
-def _product_split(omega: np.ndarray) -> SeparableMixture:
-    """Wootters' decomposition of a zero-concurrence two-qubit state.
-
-    Takagi-factorizes tau = U diag(lambda) U^T, so the kets x = V conj(U)
-    satisfy x_i^T Y x_j = lambda_i delta_ij. Phases e^{i theta_j / 2} close
-    sum_j e^{i theta_j} lambda_j = 0 (a triangle with sides lambda_1,
-    lambda_2 and lambda_3 + lambda_4, which exists when the concurrence is
-    zero), and the Hadamard mix of the phased kets gives four kets with
-    z^T Y z = 0, i.e. product kets, whose projectors sum to omega.
-    """
-    v, tau = _preconcurrence(omega)
+    tau = v.T @ _YY @ v
     # Takagi vectors from the real symmetric embedding [[Re, Im], [Im, -Re]]:
     # its eigenvector [p; q] for lambda >= 0 gives tau conj(p + iq) = lambda (p + iq)
     lam, vecs = np.linalg.eigh(np.block([[tau.real, tau.imag], [tau.imag, -tau.real]]))
     lam = lam[4:][::-1]
     takagi = (vecs[:4, 4:] + 1j * vecs[4:, 4:])[:, ::-1]
     x = v @ takagi.conj()
+    concurrence = min(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]), 1.0)
 
-    a, b, c = lam[0], lam[1], lam[2] + lam[3]
-    # angle between sides a and b by the half-angle formula; acos of the
-    # law of cosines loses every digit near a degenerate triangle (C = 0)
-    corner = 2.0 * math.atan2(math.sqrt(max((b + c - a) * (a + c - b), 0.0)),
-                              math.sqrt(max((a + b + c) * (a + b - c), 0.0)))
-    beta = math.pi - corner
-    gamma = float(np.angle(-(a + b * np.exp(1j * beta))))
-    z = (x * np.exp(0.5j * np.array([0.0, beta, gamma, gamma]))) @ _HADAMARD4
+    if concurrence == 0.0:
+        a, b, c = lam[0], lam[1], lam[2] + lam[3]
+        # angle between sides a and b by the half-angle formula; acos of the
+        # law of cosines loses every digit near a degenerate triangle (C = 0)
+        corner = 2.0 * math.atan2(math.sqrt(max((b + c - a) * (a + c - b), 0.0)),
+                                  math.sqrt(max((a + b + c) * (a + b - c), 0.0)))
+        beta = math.pi - corner
+        gamma = float(np.angle(-(a + b * np.exp(1j * beta))))
+        return (x * np.exp(0.5j * np.array([0.0, beta, gamma, gamma]))) @ _HADAMARD4, 0.0
 
+    z = (x * np.array([1.0, 1j, 1j, 1j])) @ _HADAMARD4
+    for _ in range(3):
+        # f is a real quadratic form in the columns: a rotation by phi of the
+        # pair (i, j) takes f_i to cos^2 phi (f_ii + 2 t f_ij + t^2 f_jj),
+        # t = tan phi, which has one positive root when f_ii > 0 > f_jj
+        f = (z.T @ _YY @ z).real - concurrence * (z.conj().T @ z).real
+        i, j = int(np.argmax(np.diag(f))), int(np.argmin(np.diag(f)))
+        if not f[i, i] > 0.0 > f[j, j]:
+            break
+        q = f[i, j] + math.copysign(math.sqrt(f[i, j] ** 2 - f[i, i] * f[j, j]), f[i, j])
+        t = -q / f[j, j] if q > 0.0 else -f[i, i] / q
+        cos = 1.0 / math.sqrt(1.0 + t * t)
+        z[:, [i, j]] = z[:, [i, j]] @ np.array([[cos, -t * cos], [t * cos, cos]])
+    return z, concurrence
+
+
+def _product_split(omega: np.ndarray) -> SeparableMixture:
+    """A zero-concurrence two-qubit state as the mixture of Wootters' product kets."""
+    z, _ = _wootters_kets(omega)
     terms = []
     for k in range(4):
         left, sv, right = np.linalg.svd(z[:, k].reshape(2, 2))
@@ -667,11 +681,9 @@ class EocResult:
 
     value: float
     decomposition: tuple[tuple[float, np.ndarray], ...]
-    # On 2x2, "converged" means value is within gap_tol of Wootters' closed
-    # form (``gap`` holds the difference); otherwise the run ends "stalled"
-    # (descent settled above it) or "step-cap". On larger factors there is no
-    # certificate: "converged" only means the descent settled, and gap is None
-    # (a pure state is exact in every dimension, with gap 0).
+    # On 2x2 and for pure states the value is exact: "converged" with gap 0.
+    # On larger factors the descent has no certificate: "converged" only
+    # means it settled, "step-cap" that the step cap intervened, and gap is None.
     status: str
     gap: float | None = None
 
@@ -687,25 +699,12 @@ class EocResult:
 def _branch_cost(y: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
     """Sum_i p_i E(psi_i) for batches of unnormalized branch kets.
 
-    ``y`` has shape (..., K, d); branch weights are the squared norms. The
-    2x2 case uses the closed-form singular values; larger factors fall back
-    to batched SVD.
+    ``y`` has shape (..., K, d); branch weights are the squared norms and
+    the Schmidt weights come from a batched SVD.
     """
     d_a, d_b = dims
     c = y.reshape(y.shape[:-1] + (d_a, d_b))
     p = np.sum(np.abs(y) ** 2, axis=-1)
-    if d_a == 2 and d_b == 2:
-        det = c[..., 0, 0] * c[..., 1, 1] - c[..., 0, 1] * c[..., 1, 0]
-        disc = np.sqrt(np.clip(p**2 - 4.0 * np.abs(det) ** 2, 0.0, None))
-        lam_small = (p - disc) / 2.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            x = np.where(p > 1e-15, lam_small / np.where(p > 1e-15, p, 1.0), 0.0)
-        x = np.clip(x, 0.0, 0.5)
-        ent = np.zeros_like(x)
-        pos = (x > 0.0) & (x < 1.0)
-        xp = x[pos]
-        ent[pos] = -xp * np.log(xp) - (1.0 - xp) * np.log(1.0 - xp)
-        return np.sum(p * ent, axis=-1)
     sv = np.linalg.svd(c, compute_uv=False)
     sq = sv**2
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -721,21 +720,34 @@ def _random_isometries(gen: np.random.Generator, n: int, k: int, r: int) -> np.n
     return q
 
 
+def _branches(y: np.ndarray, floor: float) -> tuple[tuple[float, np.ndarray], ...]:
+    """Unit kets and renormalized weights of the rows of y heavier than floor."""
+    terms = []
+    for row in y:
+        p = float(np.sum(np.abs(row) ** 2))
+        if p > floor:
+            terms.append((p, row / math.sqrt(p)))
+    total = sum(p for p, _ in terms)
+    return tuple((p / total, psi) for p, psi in terms)
+
+
 def entanglement_of_creation(rho: DensityOperator,
                              opts: SolverOptions | None = None) -> EocResult:
     """Minimize the average reduced entropy over pure-state decompositions.
 
-    Every length-K decomposition of rho arises as an isometry mix of its
-    eigen-ensemble; the optimizer sweeps K from the rank r up to r^2, running
-    batched random-restart descent (random isometry perturbations with step
-    halving) for each K. The value is the average branch entanglement of the
-    returned decomposition, hence an upper bound on the true minimum.
+    A pure state is its own decomposition. On 2x2 the minimum is closed form:
+    Wootters' four kets (``_wootters_kets``) all have the state's concurrence
+    C, and the value is h((1 + sqrt(1 - C^2)) / 2). Both report "converged"
+    with gap 0.
 
-    On 2x2, Wootters' closed form is the stopping certificate: the descent and
-    the K sweep stop once the best cost is within opts.gap_tol of it, and only
-    then is the status "converged". On larger factors the descent is
-    uncertified, and the status says whether the step sizes collapsed (a local
-    optimum, "converged") or the step cap intervened ("step-cap").
+    On larger factors every length-K decomposition of rho arises as an
+    isometry mix of its eigen-ensemble; the optimizer sweeps K from the rank
+    r up to r^2, running batched random-restart descent (random isometry
+    perturbations with step halving) for each K. The value is the average
+    branch entanglement of the returned decomposition, hence an upper bound
+    on the true minimum. The descent is uncertified, and the status says
+    whether the step sizes collapsed (a local optimum, "converged") or the
+    step cap intervened ("step-cap").
     """
     opts = opts or SolverOptions()
     dims = _bipartite_dims(rho, opts.max_factor_dim)
@@ -749,49 +761,34 @@ def entanglement_of_creation(rho: DensityOperator,
         psi = amplitudes[:, 0] / np.linalg.norm(amplitudes[:, 0])
         value = entropy_of_entanglement(psi, dims).nats
         return EocResult(value=value, decomposition=((1.0, psi),), status="converged", gap=0.0)
+    if dims == (2, 2):
+        z, concurrence = _wootters_kets(rho.matrix)
+        value = binary_entropy((1.0 + math.sqrt(1.0 - concurrence**2)) / 2.0).nats
+        return EocResult(value=value, decomposition=_branches(z.T, 0.0), status="converged", gap=0.0)
 
-    target = _wootters_eof(rho.matrix) if dims == (2, 2) else None
-    stop_at = -math.inf if target is None else target + opts.gap_tol
     gen = np.random.default_rng(opts.seed)
     best_value = math.inf
     best_y: np.ndarray | None = None
     converged = False
     since_improved = 0
     for k in range(r, r * r + 1):
-        value_k, y_k, done_k = _eoc_descent(amplitudes, dims, k, gen, opts, stop_at)
+        value_k, y_k, done_k = _eoc_descent(amplitudes, dims, k, gen, opts)
         if value_k < best_value - 1e-9:
             best_value, best_y, converged = value_k, y_k, done_k
             since_improved = 0
         else:
             since_improved += 1
-        if best_value <= stop_at or since_improved >= 3:
+        if since_improved >= 3:
             break
-
-    terms = []
-    for i in range(best_y.shape[0]):
-        p = float(np.sum(np.abs(best_y[i]) ** 2))
-        if p > 1e-12:
-            terms.append((p, best_y[i] / math.sqrt(p)))
-    total = sum(p for p, _ in terms)
-    terms = tuple((p / total, psi) for p, psi in terms)
-    value = max(best_value, 0.0)
-    if target is None:
-        return EocResult(value=value, decomposition=terms,
-                         status="converged" if converged else "step-cap")
-    if value <= stop_at:
-        status = "converged"
-    else:
-        status = "stalled" if converged else "step-cap"
-    return EocResult(value=value, decomposition=terms, status=status, gap=value - target)
+    return EocResult(value=max(best_value, 0.0), decomposition=_branches(best_y, 1e-12),
+                     status="converged" if converged else "step-cap")
 
 
 def _eoc_descent(amplitudes: np.ndarray, dims: tuple[int, int], k: int,
-                 gen: np.random.Generator, opts: SolverOptions,
-                 stop_at: float) -> tuple[float, np.ndarray, bool]:
+                 gen: np.random.Generator, opts: SolverOptions) -> tuple[float, np.ndarray, bool]:
     """Batched random-restart local descent over K x r isometries.
 
-    Stops early once the best cost reaches stop_at; the flag is False only
-    when opts.eoc_max_steps ran out.
+    The flag is False only when opts.eoc_max_steps ran out.
     """
     r = amplitudes.shape[1]
     n = opts.eoc_restarts
@@ -804,7 +801,7 @@ def _eoc_descent(amplitudes: np.ndarray, dims: tuple[int, int], k: int,
     exhausted = True
     for _ in range(opts.eoc_max_steps):
         active = step >= _EOC_MIN_STEP
-        if not active.any() or current.min() <= stop_at:
+        if not active.any():
             exhausted = False
             break
         noise = (gen.normal(size=t.shape) + 1j * gen.normal(size=t.shape))

@@ -52,23 +52,10 @@ class EntropyValue:
     def bits(self) -> float:
         return self.nats / LN2
 
-    def value_in(self, unit: str) -> float:
-        if unit == "nats":
-            return self.nats
-        if unit == "bits":
-            return self.bits
-        raise InputError(f"unknown entropy unit {unit!r}")
-
     def to_json(self) -> dict:
         if self.infinite:
             return {"infinite": True}
         return {"nats": self.nats}
-
-    @staticmethod
-    def from_json(obj: dict) -> "EntropyValue":
-        if obj.get("infinite"):
-            return EntropyValue(math.inf)
-        return EntropyValue(float(obj["nats"]))
 
 
 INFINITE = EntropyValue(math.inf)

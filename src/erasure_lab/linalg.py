@@ -21,9 +21,7 @@ __all__ = [
     "tensor_product",
     "partial_trace",
     "hermitian_eig",
-    "matrix_to_json",
     "matrix_from_json",
-    "vector_to_json",
     "vector_from_json",
 ]
 
@@ -90,12 +88,6 @@ class TensorSpace:
     def dim(self) -> int:
         return int(math.prod(self.dims)) if self.factors else 1
 
-    def dim_of(self, label: str) -> int:
-        for lab, d in self.factors:
-            if lab == label:
-                return d
-        raise InputError(f"unknown factor label {label!r}; have {self.labels}")
-
     def subspace(self, keep) -> "TensorSpace":
         """Sub-space of the kept labels, preserving the original factor order."""
         keep = set(keep)
@@ -132,9 +124,9 @@ class DensityOperator:
         tr = complex(np.trace(m))
         if not abs(tr - 1.0) <= UNIT_TRACE_TOL:
             raise InputError(f"trace must be 1, got {tr}")
-        lam, _ = hermitian_eig(m)
-        if not lam[-1] >= -PSD_TOL:
-            raise InputError(f"matrix is not positive semidefinite: min eigenvalue {lam[-1]:.3e}")
+        lam_min = np.linalg.eigvalsh((m + m.conj().T) / 2.0)[0]
+        if not lam_min >= -PSD_TOL:
+            raise InputError(f"matrix is not positive semidefinite: min eigenvalue {lam_min:.3e}")
 
     @staticmethod
     def from_matrix(m, space: TensorSpace | None = None) -> "DensityOperator":
@@ -163,17 +155,6 @@ class DensityOperator:
 
     def reduced(self, keep) -> "DensityOperator":
         return partial_trace(self, keep)
-
-    def to_json(self) -> dict:
-        return {
-            "space": [[lab, d] for lab, d in self.space.factors],
-            "matrix": matrix_to_json(self.matrix),
-        }
-
-    @staticmethod
-    def from_json(obj: dict) -> "DensityOperator":
-        space = TensorSpace.of(*[(lab, int(d)) for lab, d in obj["space"]])
-        return DensityOperator(space, matrix_from_json(obj["matrix"]))
 
 
 def partial_trace(rho: DensityOperator, keep) -> DensityOperator:
@@ -223,15 +204,6 @@ def hermitian_eig(m) -> tuple[np.ndarray, np.ndarray]:
     return lam[::-1], v[:, ::-1]
 
 
-def matrix_to_json(m) -> dict:
-    a = _as_square_array(m)
-    return {
-        "dim": a.shape[0],
-        "re": np.real(a).tolist(),
-        "im": np.imag(a).tolist(),
-    }
-
-
 def _require_finite(re: np.ndarray, im: np.ndarray, kind: str) -> None:
     if not (np.isfinite(re).all() and np.isfinite(im).all()):
         raise InputError(f"{kind} literal has a non-finite entry (NaN or Infinity)")
@@ -250,11 +222,6 @@ def matrix_from_json(obj: dict) -> np.ndarray:
         )
     _require_finite(re, im, "matrix")
     return re + 1j * im
-
-
-def vector_to_json(v) -> dict:
-    a = np.asarray(v, dtype=complex).reshape(-1)
-    return {"re": np.real(a).tolist(), "im": np.imag(a).tolist()}
 
 
 def vector_from_json(obj: dict) -> np.ndarray:

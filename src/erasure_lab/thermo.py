@@ -59,14 +59,6 @@ class HamiltonianSpec:
     def temperature(self) -> float:
         return 1.0 / self.beta
 
-    @property
-    def partition(self) -> float:
-        return math.exp(self.log_partition)
-
-    def to_json(self) -> dict:
-        from .linalg import matrix_to_json
-
-        return {"matrix": matrix_to_json(self.matrix), "beta": self.beta}
 
 
 def gibbs_state(h: HamiltonianSpec, space: TensorSpace | None = None) -> DensityOperator:

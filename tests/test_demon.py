@@ -218,22 +218,6 @@ class TestQecCycle:
             assert abs(step.ds_apparatus) < 1e-9
             assert abs(step.ds_garbage) < 1e-9
 
-    def test_orthogonality_check(self):
-        ket = np.array([1.0, 0.0])
-        assert three_qubit_bit_flip_scenario(ket).errors_orthogonal()
-        c0 = np.zeros(4, dtype=complex)
-        c0[0] = 1.0
-        c1 = np.zeros(4, dtype=complex)
-        c1[1] = 1.0
-        duplicated = QecScenario(
-            codewords=(c0, c1),
-            input_state=DensityOperator.from_ket(np.array([1.0, 0.0]),
-                                                 TensorSpace.single("L", 2)),
-            errors=((np.eye(4), 0.5), (np.eye(4), 0.5)),
-            apparatus_states=tuple(equal_overlap_states(2, 0.0)),
-        )
-        assert not duplicated.errors_orthogonal()
-
     def test_imperfect_observation_needs_two_errors(self):
         ket = np.array([1.0, 1.0]) / math.sqrt(2)
         scenario = three_qubit_bit_flip_scenario(ket, overlap=0.5)

@@ -34,7 +34,6 @@ class TestEntropyValue:
     def test_bits_conversion_exact(self):
         e = EntropyValue(LN2)
         assert abs(e.bits - 1.0) < 1e-12
-        assert e.value_in("nats") == LN2
 
     def test_negative_rejected(self):
         with pytest.raises(InputError):
@@ -44,11 +43,6 @@ class TestEntropyValue:
         e = EntropyValue(math.inf)
         assert e.infinite
         assert e.to_json() == {"infinite": True}
-        assert EntropyValue.from_json({"infinite": True}).infinite
-
-    def test_json_round_trip(self):
-        e = EntropyValue(0.25)
-        assert EntropyValue.from_json(e.to_json()).nats == 0.25
 
 
 class TestVonNeumann:

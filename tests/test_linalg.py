@@ -7,11 +7,9 @@ from erasure_lab.linalg import (
     TensorSpace,
     hermitian_eig,
     matrix_from_json,
-    matrix_to_json,
     partial_trace,
     tensor_product,
     vector_from_json,
-    vector_to_json,
 )
 
 RNG = np.random.default_rng(1234)
@@ -225,13 +223,6 @@ class TestDensityOperator:
         with pytest.raises(InputError):
             DensityOperator.from_ket(np.array([1.0, 1.0]))
 
-    def test_json_round_trip(self):
-        space = TensorSpace.of(("A", 2), ("B", 2))
-        rho = DensityOperator(space, random_state_matrix(4))
-        back = DensityOperator.from_json(rho.to_json())
-        assert back.space == rho.space
-        assert np.max(np.abs(back.matrix - rho.matrix)) < 1e-15
-
 
 class TestTensorSpace:
     def test_duplicate_labels_rejected(self):
@@ -241,9 +232,6 @@ class TestTensorSpace:
     def test_dims_and_lookup(self):
         space = TensorSpace.of(("S", 4), ("A", 2))
         assert space.dim == 8
-        assert space.dim_of("A") == 2
-        with pytest.raises(InputError):
-            space.dim_of("Z")
 
     def test_subspace_preserves_order(self):
         space = TensorSpace.of(("A", 2), ("B", 3), ("C", 4))
@@ -253,7 +241,7 @@ class TestTensorSpace:
 class TestJsonLiterals:
     def test_matrix_round_trip(self):
         m = random_hermitian(3)
-        back = matrix_from_json(matrix_to_json(m))
+        back = matrix_from_json({"dim": 3, "re": m.real.tolist(), "im": m.imag.tolist()})
         assert np.max(np.abs(back - m)) < 1e-15
 
     def test_im_optional(self):
@@ -275,5 +263,5 @@ class TestJsonLiterals:
 
     def test_vector_round_trip(self):
         v = RNG.normal(size=5) + 1j * RNG.normal(size=5)
-        back = vector_from_json(vector_to_json(v))
+        back = vector_from_json({"re": v.real.tolist(), "im": v.imag.tolist()})
         assert np.max(np.abs(back - v)) < 1e-15

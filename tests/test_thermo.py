@@ -59,7 +59,7 @@ class TestHamiltonianSpec:
 
     def test_partition_function(self):
         h = HamiltonianSpec(np.diag([0.0, 1.0]), beta=1.0)
-        assert h.partition == pytest.approx(1 + math.exp(-1.0), rel=1e-12)
+        assert h.log_partition == pytest.approx(math.log(1 + math.exp(-1.0)), rel=1e-12)
         assert h.temperature == 1.0
 
     def test_large_beta_is_stable(self):

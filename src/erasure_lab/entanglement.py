@@ -1,11 +1,11 @@
 """Entanglement measures and purification bounds by constrained optimization.
 
 The relative-entropy measure E_RE minimizes S(rho || omega) over the
-separable set. On 2x2 that set is exactly the PPT set (Peres; Horodecki), so
-a log-barrier Newton method solves the convex problem with a certified gap
-nu/t, and Wootters' construction splits the zero-concurrence minimizer into
-product kets. On every other pair of dimensions Frank-Wolfe steps run over
-the separable set: its extreme points are product pure states, so the linear
+separable set. On 2x2, 2x3 and 3x2 that set is exactly the PPT set (Peres;
+Horodecki), so a log-barrier Newton method solves the convex problem with a
+certified gap nu/t; on 2x2 Wootters' construction also splits the minimizer
+into product kets. On larger factors Frank-Wolfe steps run over the
+separable set: its extreme points are product pure states, so the linear
 subproblem reduces to maximizing a product-state expectation value, solved by
 alternating top-eigenvector updates with multiple starts; that oracle is
 local, so the Frank-Wolfe gap is not a certificate.
@@ -24,12 +24,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .entropy import EntropyValue, binary_entropy, cross_term_eig, shannon_entropy, von_neumann_entropy
 from .errors import InputError
-from .linalg import EIG_FLOOR, DensityOperator, TensorSpace, hermitian_eig, require_hermitian
+from .linalg import EIG_FLOOR, DensityOperator, hermitian_eig, require_hermitian
 
 __all__ = [
     "SolverOptions",
@@ -115,12 +116,6 @@ class SchmidtForm:
     def rank(self) -> int:
         return self.coefficients.size
 
-    def reconstruct(self) -> np.ndarray:
-        out = np.zeros(self.left.shape[0] * self.right.shape[0], dtype=complex)
-        for k in range(self.rank):
-            out += self.coefficients[k] * np.kron(self.left[:, k], self.right[:, k])
-        return out
-
 
 def schmidt_decompose(psi, dims: tuple[int, int]) -> SchmidtForm:
     """Schmidt form of a unit vector on A (x) B with dims = (dim_a, dim_b)."""
@@ -184,12 +179,6 @@ class SeparableMixture:
             ket = np.kron(ka, kb)
             out += w * np.outer(ket, ket.conj())
         return out
-
-    def assemble(self, space: TensorSpace | None = None) -> DensityOperator:
-        d_a, d_b = self.dims
-        if space is None:
-            space = TensorSpace.bipartite(d_a, d_b)
-        return DensityOperator(space, self.matrix())
 
     @staticmethod
     def maximally_mixed(dims: tuple[int, int]) -> "SeparableMixture":
@@ -284,7 +273,7 @@ def closest_product_state(g, dims: tuple[int, int],
 
 
 # ---------------------------------------------------------------------------
-# Relative entropy of entanglement (Frank-Wolfe over the separable set)
+# Relative entropy of entanglement (PPT barrier, Frank-Wolfe on larger factors)
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -292,6 +281,8 @@ class EreResult:
     """Minimized relative entropy with the achieving mixture and solver trace."""
 
     value: float
+    # the separable omega with value = S(rho || omega) as product terms; None
+    # for exact values and on 2x3 and 3x2, where omega is PPT but not split
     argmin: SeparableMixture | None
     convergence: tuple[tuple[int, float, float], ...]  # (iteration, objective, gap)
     # "converged": the last gap is a bound on value - E_RE and is within
@@ -339,20 +330,17 @@ def _log_dd1(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _log_dd2(w: np.ndarray) -> np.ndarray:
-    """Second divided differences ln[w_i, w_j, w_k] as a (d, d, d) array.
+    """Second divided differences ln[w_i, w_j, w_k] as a (d, d, d) array, for ascending w.
 
-    The three arguments are sorted so the outer pair carries the largest
-    spread; below a relative spread of 1e-4 the Taylor series about their
-    mean (through the fourth derivative) replaces the cancelling difference.
+    Each triple is taken in ascending order so the outer pair carries the
+    largest spread; below a relative spread of 1e-4 the Taylor series about
+    their mean (through the fourth derivative) replaces the cancelling
+    difference.
     """
-    trip = np.stack(np.broadcast_arrays(w[:, None, None], w[None, :, None],
-                                        w[None, None, :]), axis=-1)
-    trip = np.sort(trip, axis=-1)
-    lo, mid, hi = trip[..., 0], trip[..., 1], trip[..., 2]
-    mean = trip.mean(axis=-1)
-    dev = trip - mean[..., None]
-    h2 = (dev**2).sum(axis=-1) + dev[..., 0] * dev[..., 1] \
-        + dev[..., 0] * dev[..., 2] + dev[..., 1] * dev[..., 2]
+    d = w.size
+    lo, mid, hi = w[np.sort(np.indices((d, d, d)), axis=0)]
+    mean = (lo + mid + hi) / 3.0
+    h2 = ((lo - mean) ** 2 + (mid - mean) ** 2 + (hi - mean) ** 2) / 2.0
     series = -0.5 / mean**2 - h2 / (4.0 * mean**4)
     with np.errstate(divide="ignore", invalid="ignore"):
         exact = (_log_dd1(hi, mid) - _log_dd1(mid, lo)) / (hi - lo)
@@ -391,19 +379,21 @@ def relative_entropy_of_entanglement(rho: DensityOperator,
                                      opts: SolverOptions | None = None) -> EreResult:
     """Minimize S(rho || omega) over separable omega.
 
-    On 2x2 the separable states are exactly the PPT states, so the minimum
-    is a smooth convex problem, solved by log-barrier Newton steps (see
-    ``_ppt_barrier``); there "converged" certifies value - E_RE <= gap_tol.
-    Every other pair of dimensions runs Frank-Wolfe (see ``_frank_wolfe``),
-    whose gap rests on a local product-state oracle and so is only as good
-    as that oracle. Either way the value is S(rho || argmin) for an explicit
-    separable argmin, hence an upper bound on E_RE.
+    On 2x2, 2x3 and 3x2 the separable states are exactly the PPT states, so
+    the minimum is a smooth convex problem, solved by log-barrier Newton
+    steps (see ``_ppt_barrier``); there "converged" certifies
+    value - E_RE <= gap_tol. Every larger pair of dimensions runs
+    Frank-Wolfe (see ``_frank_wolfe``), whose gap rests on a local
+    product-state oracle and so is only as good as that oracle. Either way
+    the value is S(rho || omega) for a separable omega, hence an upper bound
+    on E_RE; the argmin lists omega's product terms except on 2x3 and 3x2,
+    where it is None.
     """
     opts = opts or SolverOptions()
     dims = _bipartite_dims(rho, opts.max_factor_dim)
     s_rho = von_neumann_entropy(rho).nats
-    if dims == (2, 2):
-        return _ppt_barrier(rho.matrix, s_rho, opts)
+    if dims in ((2, 2), (2, 3), (3, 2)):
+        return _ppt_barrier(rho.matrix, s_rho, dims, opts)
     return _frank_wolfe(rho.matrix, s_rho, dims, opts)
 
 
@@ -472,16 +462,12 @@ def _frank_wolfe(rho_m: np.ndarray, s_rho: float, dims: tuple[int, int],
                      convergence=tuple(trace), status=status)
 
 
-# Two-qubit constants: sigma_i (x) sigma_j / 2 without the identity term is an
-# orthonormal basis of the traceless Hermitian 4x4 matrices; sigma_y (x) sigma_y
-# is real; the symmetric Hadamard matrix mixes four kets with equal squared weights.
-_PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]],
-                   [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
-_TRACELESS_22 = np.array([np.kron(a, b) / 2.0 for a in _PAULI for b in _PAULI][1:])
-_YY = np.kron(_PAULI[2], _PAULI[2]).real
+# sigma_y (x) sigma_y, which is real; the symmetric Hadamard matrix mixes four
+# kets with equal squared weights.
+_YY = np.array([[0.0, 0.0, 0.0, -1.0], [0.0, 0.0, 1.0, 0.0],
+                [0.0, 1.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0]])
 _HADAMARD4 = np.array([[1, 1, 1, 1], [1, 1, -1, -1],
                        [1, -1, 1, -1], [1, -1, -1, 1]]) / 2.0
-_BARRIER_NU = 8.0            # two log-det barriers on 4x4 blocks
 _BARRIER_GROWTH = 10.0       # t multiplier between centring steps
 _BARRIER_MARGIN = 100.0      # the path runs on until nu/t <= gap_tol / margin
 _NEWTON_STEPS = 50           # per centring step
@@ -498,31 +484,49 @@ def _partial_transpose(m: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
     return blocks.reshape(lead + (d_a * d_b, d_a * d_b))
 
 
-def _ppt_barrier(rho: np.ndarray, s_rho: float, opts: SolverOptions) -> EreResult:
-    """Two-qubit E_RE by log-barrier path following over the PPT set.
+@lru_cache(maxsize=None)
+def _traceless_basis(d: int) -> np.ndarray:
+    """Generalised Gell-Mann matrices: the d^2 - 1 traceless Hermitian d x d
+    matrices B_a with tr(B_a B_b) = delta_ab, as a (d^2 - 1, d, d) stack."""
+    e = [np.outer(row, col) for row in np.eye(d) for col in np.eye(d)]
+    pairs = [(j * d + k, k * d + j) for j in range(d) for k in range(j + 1, d)]
+    out = [(e[jk] + e[kj]) / math.sqrt(2.0) for jk, kj in pairs]
+    out += [1j * (e[kj] - e[jk]) / math.sqrt(2.0) for jk, kj in pairs]
+    out += [np.diag(np.r_[np.ones(l), -l, np.zeros(d - l - 1)]) / math.sqrt(l * (l + 1))
+            for l in range(1, d)]
+    return np.array(out, dtype=complex)
+
+
+def _ppt_barrier(rho: np.ndarray, s_rho: float, dims: tuple[int, int],
+                 opts: SolverOptions) -> EreResult:
+    """E_RE over the PPT set by log-barrier path following.
 
     Minimizes t S(rho || omega) - ln det omega - ln det omega^{T_B} over
-    trace-one omega = I/4 + sum_a x_a B_a with damped Newton steps (the
-    Frechet gradient of ``_neg_gradient`` and the exact Hessian from the
-    log's second divided differences), then multiplies t by
-    _BARRIER_GROWTH. Each trace row is one centring step; at a centred
-    point S(rho || omega) - E_RE <= nu / t with nu = 8, the recorded gap,
-    and the run is "converged" once that gap is within opts.gap_tol. At a
-    boundary optimum (rank-deficient rho or omega^{T_B}) the value's own
-    excess is about nu / (2t), so the path runs on until nu / t <=
-    gap_tol / _BARRIER_MARGIN, a few Newton steps more, unless max_iter
-    stops it first. A centring step that fails before convergence ends the
-    run as "stalled"; one that fails after it ends the run at the last
-    centred point. The strictly PPT iterate is split into product kets by
-    ``_product_split``, and the reported value is S(rho || argmin).
+    trace-one omega = I/d + sum_a x_a B_a, d = d_A d_B, with damped Newton
+    steps (the Frechet gradient of ``_neg_gradient`` and the exact Hessian
+    from the log's second divided differences), then multiplies t by
+    _BARRIER_GROWTH. Each trace row is one centring step; at a centred point
+    S(rho || omega) exceeds the PPT minimum by at most nu / t, nu = 2d (two
+    log-det barriers on d x d blocks), the recorded gap, and the run is
+    "converged" once that gap is within opts.gap_tol. At a boundary optimum
+    (rank-deficient rho or omega^{T_B}) the value's own excess is about
+    nu / (2t), so the path runs on until nu / t <= gap_tol / _BARRIER_MARGIN
+    unless max_iter stops it first. A centring step that fails before
+    convergence ends the run as "stalled"; one that fails after it ends the
+    run at the last centred point. On 2x2 ``_product_split`` turns the final
+    iterate into product kets and the value is S(rho || argmin); on 2x3 and
+    3x2 the value is S(rho || omega) at the final iterate, with no argmin.
     """
-    basis = _TRACELESS_22
-    basis_pt = _partial_transpose(basis, (2, 2))
-    centre = np.eye(4, dtype=complex) / 4.0
+    d = dims[0] * dims[1]
+    basis = _traceless_basis(d)
+    basis_pt = _partial_transpose(basis, dims)
+    n = len(basis)
+    centre = np.eye(d, dtype=complex) / d
+    nu = 2.0 * d
 
     def evaluate(x: np.ndarray, t: float):
-        omega = centre + np.einsum("a,aij->ij", x, basis)
-        omega_pt = _partial_transpose(omega, (2, 2))
+        omega = centre + (x @ basis.reshape(n, -1)).reshape(d, d)
+        omega_pt = _partial_transpose(omega, dims)
         w, u = np.linalg.eigh(omega)
         w_pt = np.linalg.eigvalsh(omega_pt)
         if w[0] <= 0.0 or w_pt[0] <= 0.0:
@@ -532,19 +536,21 @@ def _ppt_barrier(rho: np.ndarray, s_rho: float, opts: SolverOptions) -> EreResul
 
     def newton_step(t: float, omega, omega_pt, w, u) -> tuple[np.ndarray, np.ndarray]:
         # objective: grad_a = -tr(D ln[rho] B_a); Hessian from
-        # D^2 ln[X, Y]_ik = sum_j ln[w_i, w_j, w_k] (X_ij Y_jk + Y_ij X_jk)
-        grad = -t * np.einsum("ij,aji->a", _neg_gradient(rho, w, u), basis).real
+        # D^2 ln[X, Y]_ik = sum_j ln[w_i, w_j, w_k] (X_ij Y_jk + Y_ij X_jk),
+        # summed over i as a batch of (a, i) @ (i, k) products per j
+        grad = -t * (basis.conj().reshape(n, -1) @ _neg_gradient(rho, w, u).reshape(-1)).real
         b_eig = u.conj().T @ basis @ u
         weight = _log_dd2(w) * (u.conj().T @ rho @ u).T[:, None, :]
-        k = np.einsum("ijk,aij,bjk->ab", weight, b_eig, b_eig)
+        by_j = (b_eig.transpose(2, 0, 1) @ weight.transpose(1, 0, 2)).transpose(1, 0, 2)
+        k = by_j.reshape(n, -1) @ b_eig.reshape(n, -1).T
         hess = -t * (k + k.T).real
         for block, block_basis in ((omega, basis), (omega_pt, basis_pt)):
             inv_b = np.linalg.inv(block) @ block_basis
             grad -= np.einsum("aii->a", inv_b).real
-            hess += np.einsum("aij,bji->ab", inv_b, inv_b).real
+            hess += (inv_b.reshape(n, -1) @ inv_b.swapaxes(1, 2).reshape(n, -1).T).real
         return np.linalg.solve(hess, -grad), grad
 
-    x = np.zeros(len(basis))
+    x = np.zeros(n)
     t = 1.0
     trace: list[tuple[int, float, float]] = []
     status = "iteration-cap"
@@ -570,7 +576,7 @@ def _ppt_barrier(rho: np.ndarray, s_rho: float, opts: SolverOptions) -> EreResul
             else:
                 break
             x, value, point = x + alpha * step, trial_value, trial
-        gap = _BARRIER_NU / t
+        gap = nu / t
         if not centred and status == "converged":
             break
         final = point
@@ -584,19 +590,21 @@ def _ppt_barrier(rho: np.ndarray, s_rho: float, opts: SolverOptions) -> EreResul
             break
         t *= _BARRIER_GROWTH
 
-    argmin = _product_split(final[0])
-    w, u = np.linalg.eigh(argmin.matrix())
-    value = max(_objective(rho, s_rho, w, u), 0.0)
-    return EreResult(value=value, argmin=argmin, convergence=tuple(trace), status=status)
+    argmin, value = None, final[4]
+    if dims == (2, 2):
+        argmin = _product_split(final[0])
+        value = _objective(rho, s_rho, *np.linalg.eigh(argmin.matrix()))
+    return EreResult(value=max(value, 0.0), argmin=argmin, convergence=tuple(trace), status=status)
 
 
-def _wootters_kets(matrix: np.ndarray) -> tuple[np.ndarray, float]:
+def _wootters_kets(w: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, float]:
     """Wootters' optimal decomposition of a two-qubit state (PRL 80, 2245).
 
-    Returns (z, C): four unnormalized kets z_k, the columns of z, with
-    z z^dag = matrix and each of the state's concurrence C, so that their
-    average branch entanglement is the entanglement of formation. With
-    matrix = V V^dag and Y = sigma_y (x) sigma_y, the singular values of the
+    Takes the state's eigensystem (eigenvalues w ascending, eigenvectors the
+    columns of u) and returns (z, C): four unnormalized kets z_k, the columns
+    of z, with z z^dag = rho and each of the state's concurrence C, so that
+    their average branch entanglement is the entanglement of formation. With
+    rho = V V^dag and Y = sigma_y (x) sigma_y, the singular values of the
     complex symmetric tau = V^T Y V are Wootters' lambda_i. A Takagi
     factorization tau = U diag(lambda) U^T gives kets x = V conj(U) with
     x_i^T Y x_j = lambda_i delta_ij; multiplying x_j by e^{i theta_j / 2} and
@@ -610,7 +618,6 @@ def _wootters_kets(matrix: np.ndarray) -> tuple[np.ndarray, float]:
     then zero every f_k = z_k^T Y z_k - C |z_k|^2; they preserve
     sum_k f_k = C - C tr(rho) = 0.
     """
-    w, u = np.linalg.eigh(matrix)
     v = u * np.sqrt(np.clip(w, 0.0, None))
     tau = v.T @ _YY @ v
     # Takagi vectors from the real symmetric embedding [[Re, Im], [Im, -Re]]:
@@ -649,7 +656,7 @@ def _wootters_kets(matrix: np.ndarray) -> tuple[np.ndarray, float]:
 
 def _product_split(omega: np.ndarray) -> SeparableMixture:
     """A zero-concurrence two-qubit state as the mixture of Wootters' product kets."""
-    z, _ = _wootters_kets(omega)
+    z, _ = _wootters_kets(*np.linalg.eigh(omega))
     terms = []
     for k in range(4):
         left, sv, right = np.linalg.svd(z[:, k].reshape(2, 2))
@@ -751,9 +758,9 @@ def entanglement_of_creation(rho: DensityOperator,
     """
     opts = opts or SolverOptions()
     dims = _bipartite_dims(rho, opts.max_factor_dim)
-    lam, vecs = hermitian_eig(rho.matrix)
-    keep = lam > EIG_FLOOR
-    lam, vecs = lam[keep], vecs[:, keep]
+    eig_w, eig_u = hermitian_eig(rho.matrix)
+    keep = eig_w > EIG_FLOOR
+    lam, vecs = eig_w[keep], eig_u[:, keep]
     r = int(lam.size)
     amplitudes = vecs * np.sqrt(lam)  # (d, r), rho = W W^dag
 
@@ -762,7 +769,7 @@ def entanglement_of_creation(rho: DensityOperator,
         value = entropy_of_entanglement(psi, dims).nats
         return EocResult(value=value, decomposition=((1.0, psi),), status="converged", gap=0.0)
     if dims == (2, 2):
-        z, concurrence = _wootters_kets(rho.matrix)
+        z, concurrence = _wootters_kets(eig_w[::-1], eig_u[:, ::-1])
         value = binary_entropy((1.0 + math.sqrt(1.0 - concurrence**2)) / 2.0).nats
         return EocResult(value=value, decomposition=_branches(z.T, 0.0), status="converged", gap=0.0)
 

@@ -1,4 +1,4 @@
-"""Seeded random generators for states, Hamiltonians and separable mixtures.
+"""Seeded random generators for states, Hamiltonians and unitaries.
 
 Used by the self-test command and the test suite; all functions take an
 explicit ``numpy.random.Generator`` so runs are reproducible.
@@ -16,7 +16,6 @@ __all__ = [
     "random_density",
     "random_hermitian",
     "random_unitary",
-    "random_product_terms",
 ]
 
 
@@ -48,11 +47,3 @@ def random_unitary(gen: np.random.Generator, dim: int) -> np.ndarray:
     g = gen.normal(size=(dim, dim)) + 1j * gen.normal(size=(dim, dim))
     q, r = np.linalg.qr(g)
     return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
-def random_product_terms(gen: np.random.Generator, dim_a: int, dim_b: int,
-                         n_terms: int) -> list[tuple[float, np.ndarray, np.ndarray]]:
-    """Weights and product kets for a random separable mixture."""
-    w = gen.dirichlet(np.ones(n_terms))
-    return [(float(w[i]), random_ket(gen, dim_a), random_ket(gen, dim_b))
-            for i in range(n_terms)]

@@ -24,8 +24,9 @@ from erasure_lab.entanglement import (
 )
 from erasure_lab.entropy import binary_entropy, relative_entropy, von_neumann_entropy
 from erasure_lab.linalg import DensityOperator, TensorSpace
-from erasure_lab.sampling import random_density, random_hermitian, random_ket, random_product_terms, rng
+from erasure_lab.sampling import random_density, random_hermitian, random_ket, rng
 from erasure_lab.thermo import HamiltonianSpec, erasure_entropy, free_energy, gibbs_state, thermalize
+from helpers import assemble, random_product_terms
 
 LN2 = math.log(2)
 SPACE22 = TensorSpace.bipartite(2, 2)
@@ -139,7 +140,7 @@ def test_criterion_07_separable_zero():
     gen = rng(107)
     for _ in range(20):
         mixture = SeparableMixture(tuple(random_product_terms(gen, 2, 2, int(gen.integers(2, 8)))))
-        value = relative_entropy_of_entanglement(mixture.assemble()).value
+        value = relative_entropy_of_entanglement(assemble(mixture)).value
         assert value <= 1e-4
     report(7, "separable states give zero, 20 states", started, 60.0)
 

@@ -152,6 +152,24 @@ class TestEntanglementCommand:
         assert code == 2
 
 
+    def test_two_by_three_ket_runs_the_barrier(self, tmp_path, capsys):
+        psi = [math.sqrt(0.92), 0.0, 0.0, 0.0, math.sqrt(0.08), 0.0]
+        scenario = {"version": 1, "dims": [2, 3],
+                    "state": {"dim": 6, "re": [[a * b for b in psi] for a in psi]}}
+        path = tmp_path / "ket23.json"
+        path.write_text(json.dumps(scenario))
+        code, out, _ = run_cli(
+            ["entanglement", "--scenario", str(path), "--format", "json"], capsys)
+        assert code == 0
+
+        def refuse(token):
+            raise ValueError(f"non-standard JSON token {token}")
+        blob = json.loads(out, parse_constant=refuse)
+        assert blob["ere"]["status"] == "converged"
+        assert blob["ere"]["mixture_terms"] is None
+        assert blob["ere"]["final_gap"] <= 1e-5
+
+
 class TestSelftestCommand:
     def test_passes_and_is_deterministic(self, capsys):
         code, out1, _ = run_cli(["selftest", "--seed", "3"], capsys)

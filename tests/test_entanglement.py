@@ -23,7 +23,8 @@ from erasure_lab.entanglement import (
 from erasure_lab.entropy import relative_entropy, von_neumann_entropy
 from erasure_lab.errors import InputError
 from erasure_lab.linalg import DensityOperator, TensorSpace
-from erasure_lab.sampling import random_ket, random_product_terms, random_unitary, rng
+from erasure_lab.sampling import random_ket, random_unitary, rng
+from helpers import assemble, random_product_terms, reconstruct
 
 LN2 = math.log(2)
 SPACE22 = TensorSpace.bipartite(2, 2)
@@ -53,15 +54,27 @@ YY = np.kron(np.array([[0, -1j], [1j, 0]]), np.array([[0, -1j], [1j, 0]]))
 
 
 def concurrence_oracle(matrix):
-    """Wootters' concurrence from the eigenvalues of rho rho~, the standalone oracle.
+    """Wootters' concurrence, the standalone oracle: with rho = V V^dag, the
+    lambda_i are the singular values of V^T (sigma_y (x) sigma_y) V.
 
-    Square roots of rounding-level eigenvalues make it noisy by up to about
-    1e-8 on states of rank 2 or 3.
+    The square roots of the eigenvalues of rho rho~, the textbook route, turn
+    rounding-level eigenvalues into lambda_i of about 1e-8 on states of rank
+    2 or 3; the singular values stay at rounding level.
     """
-    tilde = YY @ matrix.conj() @ YY
-    lam = np.sqrt(np.clip(np.linalg.eigvals(matrix @ tilde).real, 0.0, None))
-    lam = np.sort(lam)[::-1]
+    w, u = np.linalg.eigh(matrix)
+    v = u * np.sqrt(np.clip(w, 0.0, None))
+    lam = np.linalg.svd(v.T @ YY @ v, compute_uv=False)
     return max(0.0, lam[0] - lam[1] - lam[2] - lam[3])
+
+
+def mpmath_concurrence(matrix):
+    """Wootters' concurrence from the eigenvalues of rho rho~ at 40 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        m, y = mpmath.matrix(matrix.tolist()), mpmath.matrix(YY.tolist())
+        eig = mpmath.eig(m * y * m.conjugate() * y, left=False, right=False)
+        lam = sorted((mpmath.sqrt(max(mpmath.re(e), 0)) for e in eig), reverse=True)
+        return float(max(0, lam[0] - lam[1] - lam[2] - lam[3]))
 
 
 def wootters_eof_nats(matrix):
@@ -83,10 +96,10 @@ def bell_diagonal_ere(weights):
     return LN2 - h_bin(top) if top >= 0.5 else 0.0
 
 
-def embed_in_two_by_three(matrix):
-    """Carry a two-qubit state into 2x3 through the local isometry |j> -> |j> on B."""
-    iso = np.kron(np.eye(2), np.eye(3)[:, :2])
-    return DensityOperator.from_matrix(iso @ matrix @ iso.T, TensorSpace.bipartite(2, 3))
+def embed_two_qubit(matrix, d_b=3):
+    """Carry a two-qubit state into 2 x d_b through the local isometry |j> -> |j> on B."""
+    iso = np.kron(np.eye(2), np.eye(d_b)[:, :2])
+    return DensityOperator.from_matrix(iso @ matrix @ iso.T, TensorSpace.bipartite(2, d_b))
 
 
 def random_two_qubit_mixed(gen, rank=4):
@@ -109,7 +122,7 @@ class TestSchmidt:
     def test_random_qutrit_reconstruction(self):
         psi = random_ket(RNG, 9)
         form = schmidt_decompose(psi, (3, 3))
-        assert np.max(np.abs(form.reconstruct() - psi)) < 1e-9
+        assert np.max(np.abs(reconstruct(form) - psi)) < 1e-9
         assert form.rank <= 3
         assert np.all(np.diff(form.coefficients) <= 1e-15)
         assert np.sum(form.coefficients**2) == pytest.approx(1.0, abs=1e-9)
@@ -118,7 +131,7 @@ class TestSchmidt:
         psi = random_ket(RNG, 6)
         form = schmidt_decompose(psi, (2, 3))
         assert form.rank <= 2
-        assert np.max(np.abs(form.reconstruct() - psi)) < 1e-9
+        assert np.max(np.abs(reconstruct(form) - psi)) < 1e-9
 
     def test_non_unit_vector_rejected(self):
         with pytest.raises(InputError):
@@ -130,7 +143,7 @@ class TestSchmidt:
             psi = np.kron(random_ket(gen, 2), random_ket(gen, 3))
             form = schmidt_decompose(psi, (2, 3))
             assert form.rank == 1
-            assert np.max(np.abs(form.reconstruct() - psi)) < 1e-12
+            assert np.max(np.abs(reconstruct(form) - psi)) < 1e-12
 
     def test_small_schmidt_weight_is_kept(self):
         gen = rng(19)
@@ -220,7 +233,7 @@ class TestRelativeEntropyOfEntanglement:
         gen = rng(11)
         for _ in range(3):
             mixture = SeparableMixture(tuple(random_product_terms(gen, 2, 2, 5)))
-            result = relative_entropy_of_entanglement(mixture.assemble())
+            result = relative_entropy_of_entanglement(assemble(mixture))
             assert result.value <= 1e-4
 
     def test_bell_state(self):
@@ -255,7 +268,7 @@ class TestRelativeEntropyOfEntanglement:
         gen = rng(6)
         rho = random_two_qubit_mixed(gen)
         result = relative_entropy_of_entanglement(rho, SolverOptions(max_iter=400))
-        assembled = result.argmin.assemble()
+        assembled = assemble(result.argmin)
         # the minimizing mixture reproduces the solver's objective value
         check = relative_entropy(rho, assembled).nats
         assert check == pytest.approx(result.value, abs=1e-6)
@@ -313,7 +326,7 @@ class TestRelativeEntropyOfEntanglement:
             exact = entropy_of_entanglement(psi, (2, 2)).nats
             assert result.value == pytest.approx(exact, abs=1e-6)
             assert -1e-12 <= result.value - exact <= result.convergence[-1][2]
-            check = relative_entropy(rho, result.argmin.assemble()).nats
+            check = relative_entropy(rho, assemble(result.argmin)).nats
             assert check == pytest.approx(result.value, abs=1e-9)
             assert len(result.argmin.terms) <= 4
 
@@ -354,7 +367,7 @@ class TestEntanglementOfCreation:
     def test_separable_mixture_near_zero(self):
         gen = rng(21)
         mixture = SeparableMixture(tuple(random_product_terms(gen, 2, 2, 5)))
-        result = entanglement_of_creation(mixture.assemble())
+        result = entanglement_of_creation(assemble(mixture))
         assert result.value == 0.0
 
     def test_werner_family_matches_concurrence_oracle(self):
@@ -435,12 +448,24 @@ class TestWoottersDecomposition:
         assert result.gap == 0.0
         rebuilt = sum(p * np.outer(psi, psi.conj()) for p, psi in result.decomposition)
         assert np.max(np.abs(rebuilt - matrix)) <= 1e-12
-        _, c = entanglement._wootters_kets(matrix)
+        _, c = entanglement._wootters_kets(*np.linalg.eigh(matrix))
         assert c == pytest.approx(concurrence_oracle(matrix), abs=1e-7)  # the oracle's noise
         for p, psi in result.decomposition:
             if p > 1e-6:
                 assert abs(psi @ YY @ psi) == pytest.approx(c, abs=1e-9)
         assert result.value == pytest.approx(wootters_eof_nats(matrix), abs=1e-8)
+
+    def test_concurrence_oracle_matches_mpmath(self):
+        # the eigenvalues of rho rho~ in double precision put E_C 2.4e-8 and
+        # 1.6e-8 off on two of these rank-2 states
+        gen = rng(84)
+        for _ in range(24):
+            for rank in (2, 3):
+                matrix = random_two_qubit_mixed(gen, rank).matrix
+                c = mpmath_concurrence(matrix)
+                assert concurrence_oracle(matrix) == pytest.approx(c, abs=1e-12)
+                assert wootters_eof_nats(matrix) == pytest.approx(
+                    h_bin((1 + math.sqrt(1 - c * c)) / 2), abs=1e-12)
 
 
 @settings(max_examples=30, deadline=None)
@@ -462,14 +487,15 @@ def test_two_qubit_measures_are_ordered(rank, entries):
 
 
 class TestBeyondTwoQubits:
-    """2x3 keeps Frank-Wolfe and the uncertified descent; a two-qubit state
-    carried in by a local isometry keeps both measures, so the two-qubit
-    closed forms are exact oracles there."""
+    """2x3 and 3x2 run the PPT barrier, larger factors Frank-Wolfe, and E_C
+    the uncertified descent on both; a two-qubit state carried in by a local
+    isometry keeps both measures, so the two-qubit closed forms are exact
+    oracles there."""
 
     WEIGHTS = (0.8, 0.0, 0.2, 0.0)  # rank two, entangled
 
-    def test_frank_wolfe_brackets_the_closed_form(self):
-        rho = embed_in_two_by_three(bell_diagonal(self.WEIGHTS))
+    def test_barrier_brackets_the_closed_form(self):
+        rho = embed_two_qubit(bell_diagonal(self.WEIGHTS))
         opts = SolverOptions(gap_tol=1e-3)
         result = relative_entropy_of_entanglement(rho, opts)
         exact = bell_diagonal_ere(self.WEIGHTS)
@@ -480,18 +506,78 @@ class TestBeyondTwoQubits:
 
     def test_descent_matches_wootters(self):
         matrix = bell_diagonal(self.WEIGHTS)
-        result = entanglement_of_creation(embed_in_two_by_three(matrix))
+        result = entanglement_of_creation(embed_two_qubit(matrix))
         assert result.value == pytest.approx(wootters_eof_nats(matrix), abs=1e-3)
         assert result.gap is None
 
     def test_stall_guard_reports_stalled(self, monkeypatch):
+        # Frank-Wolfe runs only beyond 2x3, so the state is carried into 2x4
         monkeypatch.setattr(entanglement, "_STALL_TOL", 1.0)
         monkeypatch.setattr(entanglement, "_STALL_ITERATIONS", 2)
-        rho = embed_in_two_by_three(bell_diagonal(self.WEIGHTS))
+        rho = embed_two_qubit(bell_diagonal(self.WEIGHTS), 4)
         opts = SolverOptions(gap_tol=1e-6)
         result = relative_entropy_of_entanglement(rho, opts)
         assert result.status == "stalled"
         assert len(result.convergence) == 3
+
+
+def _assert_certified(result, exact, gap_tol):
+    final_gap = result.convergence[-1][2]
+    assert result.status == "converged"
+    assert 0.0 <= final_gap <= gap_tol
+    assert abs(result.value - exact) <= 1e-8
+    assert -1e-12 <= result.value - exact <= final_gap
+
+
+class TestTwoByThreeBarrier:
+    """On 2x3 every PPT state is separable, so the barrier's value is E_RE
+    with a certified gap; these are the states Frank-Wolfe took seconds on."""
+
+    OPTS = SolverOptions(gap_tol=1e-5)
+
+    @pytest.mark.parametrize("weights", [
+        (0.8, 0.1, 0.05, 0.05),  # Frank-Wolfe: 1,527 iterations, 41 s
+        (0.8, 0.0, 0.2, 0.0),    # rank two
+        (0.6, 0.2, 0.1, 0.1),
+        (0.95, 0.05, 0.0, 0.0),
+    ])
+    def test_embedded_bell_diagonal(self, weights):
+        rho = embed_two_qubit(bell_diagonal(weights))
+        result = relative_entropy_of_entanglement(rho, self.OPTS)
+        _assert_certified(result, LN2 - h_bin(max(weights)), self.OPTS.gap_tol)
+        assert result.argmin is None
+
+    @pytest.mark.parametrize("weight", [0.08, 0.45])  # 0.45 took Frank-Wolfe 22 s
+    def test_pure_kets(self, weight):
+        gen = rng(61)
+        for _ in range(2):
+            u, v = random_unitary(gen, 2), random_unitary(gen, 3)
+            psi = (math.sqrt(1 - weight) * np.kron(u[:, 0], v[:, 0])
+                   + math.sqrt(weight) * np.kron(u[:, 1], v[:, 1]))
+            rho = DensityOperator.from_ket(psi, TensorSpace.bipartite(2, 3))
+            result = relative_entropy_of_entanglement(rho, self.OPTS)
+            _assert_certified(result, entropy_of_entanglement(psi, (2, 3)).nats, self.OPTS.gap_tol)
+
+    def test_three_by_two_matches_the_swapped_state(self):
+        gen = rng(62)
+        g = gen.normal(size=(6, 2)) + 1j * gen.normal(size=(6, 2))
+        m = g @ g.conj().T / np.trace(g @ g.conj().T).real
+        swapped = m.reshape(2, 3, 2, 3).transpose(1, 0, 3, 2).reshape(6, 6)
+        r23 = relative_entropy_of_entanglement(
+            DensityOperator.from_matrix(m, TensorSpace.bipartite(2, 3)), self.OPTS)
+        r32 = relative_entropy_of_entanglement(
+            DensityOperator.from_matrix(swapped, TensorSpace.bipartite(3, 2)), self.OPTS)
+        assert r23.status == r32.status == "converged"
+        assert r32.value == pytest.approx(r23.value, abs=1e-10)
+
+    @pytest.mark.parametrize("d", [4, 6])
+    def test_traceless_basis(self, d):
+        basis = entanglement._traceless_basis(d)
+        assert basis.shape == (d * d - 1, d, d)
+        gram = np.einsum("aij,bji->ab", basis, basis)
+        assert np.max(np.abs(gram - np.eye(d * d - 1))) <= 1e-15
+        assert np.max(np.abs(np.trace(basis, axis1=1, axis2=2))) <= 1e-15
+        assert np.array_equal(basis, basis.conj().swapaxes(1, 2))
 
 
 class TestPurificationOps:
@@ -509,7 +595,7 @@ class TestPurificationOps:
     def test_separable_bound_near_zero(self):
         gen = rng(31)
         mixture = SeparableMixture(tuple(random_product_terms(gen, 2, 2, 5)))
-        rho = mixture.assemble()
+        rho = assemble(mixture)
         ere = relative_entropy_of_entanglement(rho)
         assert purification_bound(rho, 2, ere) <= 1e-4
 
@@ -589,7 +675,7 @@ class TestSeparableMixture:
     def test_assembles_to_valid_state(self):
         gen = rng(41)
         mixture = SeparableMixture(tuple(random_product_terms(gen, 2, 3, 4)))
-        state = mixture.assemble()
+        state = assemble(mixture)
         assert state.space.dims == (2, 3)
 
     def test_maximally_mixed_assembly(self):

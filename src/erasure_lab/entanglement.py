@@ -3,12 +3,14 @@
 The relative-entropy measure E_RE minimizes S(rho || omega) over the
 separable set. On 2x2, 2x3 and 3x2 that set is exactly the PPT set (Peres;
 Horodecki), so a log-barrier Newton method solves the convex problem with a
-certified gap nu/t; on 2x2 Wootters' construction also splits the minimizer
-into product kets. On larger factors Frank-Wolfe steps run over the
-separable set: its extreme points are product pure states, so the linear
-subproblem reduces to maximizing a product-state expectation value, solved by
-alternating top-eigenvector updates with multiple starts; that oracle is
-local, so the Frank-Wolfe gap is not a certificate.
+certified gap nu/t; each Newton system is t H_obj + H_bar, both parts built
+once per point from omega's eigensystem, and each centring step starts from
+the path's tangent extrapolation. On 2x2 Wootters' construction also splits
+the minimizer into product kets. On larger factors Frank-Wolfe steps run
+over the separable set: its extreme points are product pure states, so the
+linear subproblem reduces to maximizing a product-state expectation value,
+solved by alternating top-eigenvector updates with multiple starts; that
+oracle is local, so the Frank-Wolfe gap is not a certificate.
 
 The creation measure E_C minimizes average branch entanglement over all
 pure-state decompositions. On 2x2 Wootters' construction gives the optimal
@@ -329,21 +331,28 @@ def _log_dd1(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.where(u == 0.0, 1.0, ratio) / b
 
 
-def _log_dd2(w: np.ndarray) -> np.ndarray:
-    """Second divided differences ln[w_i, w_j, w_k] as a (d, d, d) array, for ascending w.
+@lru_cache(maxsize=None)
+def _ascending_triples(d: int) -> np.ndarray:
+    """Every index triple over range(d), each sorted ascending, as a (3, d, d, d) array."""
+    return np.sort(np.indices((d, d, d)), axis=0)
+
+
+def _log_dd2(w: np.ndarray, loewner: np.ndarray) -> np.ndarray:
+    """Second divided differences ln[w_i, w_j, w_k] as a (d, d, d) array, for
+    ascending w and its first divided differences loewner = ln[w_i, w_j].
 
     Each triple is taken in ascending order so the outer pair carries the
     largest spread; below a relative spread of 1e-4 the Taylor series about
     their mean (through the fourth derivative) replaces the cancelling
     difference.
     """
-    d = w.size
-    lo, mid, hi = w[np.sort(np.indices((d, d, d)), axis=0)]
+    i_lo, i_mid, i_hi = _ascending_triples(w.size)
+    lo, mid, hi = w[i_lo], w[i_mid], w[i_hi]
     mean = (lo + mid + hi) / 3.0
     h2 = ((lo - mean) ** 2 + (mid - mean) ** 2 + (hi - mean) ** 2) / 2.0
     series = -0.5 / mean**2 - h2 / (4.0 * mean**4)
     with np.errstate(divide="ignore", invalid="ignore"):
-        exact = (_log_dd1(hi, mid) - _log_dd1(mid, lo)) / (hi - lo)
+        exact = (loewner[i_hi, i_mid] - loewner[i_mid, i_lo]) / (hi - lo)
     return np.where(hi - lo > 1e-4 * mean, exact, series)
 
 
@@ -502,20 +511,25 @@ def _ppt_barrier(rho: np.ndarray, s_rho: float, dims: tuple[int, int],
     """E_RE over the PPT set by log-barrier path following.
 
     Minimizes t S(rho || omega) - ln det omega - ln det omega^{T_B} over
-    trace-one omega = I/d + sum_a x_a B_a, d = d_A d_B, with damped Newton
-    steps (the Frechet gradient of ``_neg_gradient`` and the exact Hessian
-    from the log's second divided differences), then multiplies t by
-    _BARRIER_GROWTH. Each trace row is one centring step; at a centred point
-    S(rho || omega) exceeds the PPT minimum by at most nu / t, nu = 2d (two
-    log-det barriers on d x d blocks), the recorded gap, and the run is
-    "converged" once that gap is within opts.gap_tol. At a boundary optimum
-    (rank-deficient rho or omega^{T_B}) the value's own excess is about
-    nu / (2t), so the path runs on until nu / t <= gap_tol / _BARRIER_MARGIN
-    unless max_iter stops it first. A centring step that fails before
-    convergence ends the run as "stalled"; one that fails after it ends the
-    run at the last centred point. On 2x2 ``_product_split`` turns the final
-    iterate into product kets and the value is S(rho || argmin); on 2x3 and
-    3x2 the value is S(rho || omega) at the final iterate, with no argmin.
+    trace-one omega = I/d + sum_a x_a B_a, d = d_A d_B, by damped Newton
+    steps on t H_obj + H_bar, with the objective's and the log-det terms'
+    gradients and Hessians taken once per point from omega's eigensystem and
+    the inverse of omega^{T_B}, then multiplies t by mu = _BARRIER_GROWTH.
+    Each trace row is one centring step; at a centred point S(rho || omega)
+    exceeds the PPT minimum by at most nu / t, nu = 2d (two log-det barriers
+    on d x d blocks), the recorded gap, and the run is "converged" once that
+    gap is within opts.gap_tol. At a boundary optimum (rank-deficient rho or
+    omega^{T_B}) the centre moves like x* + c / t and the value's own excess
+    is about nu / (2t), so the path runs on until nu / t <= gap_tol /
+    _BARRIER_MARGIN unless max_iter stops it first. The next centring step
+    starts from that model's x(t) + (1 - 1/mu) t dx/dt, with
+    dx/dt = -(t H_obj + H_bar)^{-1} g_obj from the last solve at t, if that
+    point is strictly feasible and no worse at mu t, else from x(t). A
+    centring step that fails before convergence ends the run as "stalled";
+    one that fails after it ends the run at the last centred point. On 2x2
+    ``_product_split`` turns the final iterate into product kets and the
+    value is S(rho || argmin); on 2x3 and 3x2 the value is S(rho || omega)
+    at the final iterate, with no argmin.
     """
     d = dims[0] * dims[1]
     basis = _traceless_basis(d)
@@ -524,63 +538,70 @@ def _ppt_barrier(rho: np.ndarray, s_rho: float, dims: tuple[int, int],
     centre = np.eye(d, dtype=complex) / d
     nu = 2.0 * d
 
-    def evaluate(x: np.ndarray, t: float):
+    def evaluate(x: np.ndarray):
+        # (objective, log-det barrier, omega, omega^{T_B}, w, u), or None off the interior
         omega = centre + (x @ basis.reshape(n, -1)).reshape(d, d)
         omega_pt = _partial_transpose(omega, dims)
         w, u = np.linalg.eigh(omega)
         w_pt = np.linalg.eigvalsh(omega_pt)
         if w[0] <= 0.0 or w_pt[0] <= 0.0:
-            return math.inf, None
-        f = _objective(rho, s_rho, w, u)
-        return t * f - np.log(w).sum() - np.log(w_pt).sum(), (omega, omega_pt, w, u, f)
+            return None
+        return _objective(rho, s_rho, w, u), -np.log(w).sum() - np.log(w_pt).sum(), omega, omega_pt, w, u
 
-    def newton_step(t: float, omega, omega_pt, w, u) -> tuple[np.ndarray, np.ndarray]:
-        # objective: grad_a = -tr(D ln[rho] B_a); Hessian from
-        # D^2 ln[X, Y]_ik = sum_j ln[w_i, w_j, w_k] (X_ij Y_jk + Y_ij X_jk),
-        # summed over i as a batch of (a, i) @ (i, k) products per j
-        grad = -t * (basis.conj().reshape(n, -1) @ _neg_gradient(rho, w, u).reshape(-1)).real
+    def derivatives(point) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        # in omega's eigenbasis, objective: grad_a = -tr(rho D ln[omega](B_a)), Hessian
+        # from D^2 ln[X, Y]_ik = sum_j ln[w_i, w_j, w_k] (X_ij Y_jk + Y_ij X_jk) as a
+        # batch of (a, i) @ (i, k) products per j; each log det: -tr(S_a) and
+        # tr(S_a S_b), S_a = w^{-1/2} B_a w^{-1/2} or (omega^{T_B})^{-1} B_a^{T_B}
+        _, _, _, omega_pt, w, u = point
         b_eig = u.conj().T @ basis @ u
-        weight = _log_dd2(w) * (u.conj().T @ rho @ u).T[:, None, :]
+        rho_eig = (u.conj().T @ rho @ u).T
+        loewner = _log_dd1(w[:, None], w[None, :])
+        g_obj = -(b_eig.reshape(n, -1) @ (loewner * rho_eig).reshape(-1)).real
+        weight = _log_dd2(w, loewner) * rho_eig[:, None, :]
         by_j = (b_eig.transpose(2, 0, 1) @ weight.transpose(1, 0, 2)).transpose(1, 0, 2)
         k = by_j.reshape(n, -1) @ b_eig.reshape(n, -1).T
-        hess = -t * (k + k.T).real
-        for block, block_basis in ((omega, basis), (omega_pt, basis_pt)):
-            inv_b = np.linalg.inv(block) @ block_basis
-            grad -= np.einsum("aii->a", inv_b).real
-            hess += (inv_b.reshape(n, -1) @ inv_b.swapaxes(1, 2).reshape(n, -1).T).real
-        return np.linalg.solve(hess, -grad), grad
+        g_bar, h_bar = np.zeros(n), np.zeros((n, n))
+        for s_a in (b_eig / np.sqrt(np.outer(w, w)), np.linalg.inv(omega_pt) @ basis_pt):
+            g_bar -= np.trace(s_a, axis1=1, axis2=2).real
+            h_bar += (s_a.reshape(n, -1) @ s_a.swapaxes(1, 2).reshape(n, -1).T).real
+        return g_obj, -(k + k.T).real, g_bar, h_bar
 
-    x = np.zeros(n)
-    t = 1.0
+    x, t = np.zeros(n), 1.0
+    point = evaluate(x)
+    derivs = derivatives(point)
     trace: list[tuple[int, float, float]] = []
     status = "iteration-cap"
     for it in range(opts.max_iter + 1):
-        value, point = evaluate(x, t)
         centred = False
         for _ in range(_NEWTON_STEPS):
+            g_obj, h_obj, g_bar, h_bar = derivs
+            grad = t * g_obj + g_bar
             try:
-                step, grad = newton_step(t, *point[:4])
+                step, tangent = np.linalg.solve(t * h_obj + h_bar, -np.stack([grad, g_obj], 1)).T
             except np.linalg.LinAlgError:
                 break
             decrement = float(-grad @ step)
             if decrement <= _NEWTON_DECREMENT_TOL:
                 centred = True
                 break
+            value = t * point[0] + point[1]
             alpha = 1.0
             while alpha > 1e-12:
-                trial_value, trial = evaluate(x + alpha * step, t)
-                accept = trial_value <= value - 0.25 * alpha * decrement
-                if trial is not None and (accept or decrement < _FULL_STEP_DECREMENT):
+                trial = evaluate(x + alpha * step)
+                if trial is not None and (t * trial[0] + trial[1] <= value - 0.25 * alpha * decrement
+                                          or decrement < _FULL_STEP_DECREMENT):
                     break
                 alpha /= 2.0
             else:
                 break
-            x, value, point = x + alpha * step, trial_value, trial
+            x, point = x + alpha * step, trial
+            derivs = derivatives(point)
         gap = nu / t
         if not centred and status == "converged":
             break
         final = point
-        trace.append((it, point[4], gap))
+        trace.append((it, point[0], gap))
         if not centred:
             status = "stalled"
             break
@@ -588,11 +609,15 @@ def _ppt_barrier(rho: np.ndarray, s_rho: float, dims: tuple[int, int],
             status = "converged"
         if gap <= opts.gap_tol / _BARRIER_MARGIN or it == opts.max_iter:
             break
+        x_ext = x + (1.0 - 1.0 / _BARRIER_GROWTH) * t * tangent
         t *= _BARRIER_GROWTH
+        trial = evaluate(x_ext)
+        if trial is not None and t * trial[0] + trial[1] <= t * point[0] + point[1]:
+            x, point, derivs = x_ext, trial, derivatives(trial)
 
-    argmin, value = None, final[4]
+    argmin, value = None, final[0]
     if dims == (2, 2):
-        argmin = _product_split(final[0])
+        argmin = _product_split(final[2])
         value = _objective(rho, s_rho, *np.linalg.eigh(argmin.matrix()))
     return EreResult(value=max(value, 0.0), argmin=argmin, convergence=tuple(trace), status=status)
 
@@ -895,5 +920,5 @@ def purification_report(rho: DensityOperator, n_target: int, ere: EreResult) -> 
         n_target=n_target,
         ensemble_bound=purification_bound(rho, n_target, ere),
         single_shot=single,
-        schumacher=schumacher_rate(rho, n_target),
+        schumacher=shannon_entropy(lam).nats / math.log(n_target),  # S(rho) from lam
     )

@@ -570,6 +570,29 @@ class TestTwoByThreeBarrier:
         assert r23.status == r32.status == "converged"
         assert r32.value == pytest.approx(r23.value, abs=1e-10)
 
+    @pytest.mark.parametrize("weights", [
+        (0.8, 0.0, 0.2, 0.0),
+        (0.6, 0.4, 0.0, 0.0),
+        (0.9, 0.0, 0.0, 0.1),
+        (0.55, 0.0, 0.45, 0.0),
+        (0.0, 0.3, 0.0, 0.7),
+    ])
+    def test_embedded_rank_two_bell_diagonal_at_small_gap_tol(self, weights):
+        # the path runs to t = 1e11 here, where Newton steps lose precision
+        # and the last centring step may fail; the run must still be certified
+        gen = rng(63)
+        u = np.kron(random_unitary(gen, 2), random_unitary(gen, 3))
+        opts = SolverOptions(gap_tol=1e-7)
+        exact = LN2 - h_bin(max(weights))
+        for rho in (embed_two_qubit(bell_diagonal(weights)).matrix,
+                    u @ embed_two_qubit(bell_diagonal(weights)).matrix @ u.conj().T):
+            result = relative_entropy_of_entanglement(
+                DensityOperator.from_matrix(rho, TensorSpace.bipartite(2, 3)), opts)
+            final_gap = result.convergence[-1][2]
+            assert result.status == "converged"
+            assert 0.0 <= final_gap <= opts.gap_tol
+            assert -1e-12 <= result.value - exact <= final_gap
+
     @pytest.mark.parametrize("d", [4, 6])
     def test_traceless_basis(self, d):
         basis = entanglement._traceless_basis(d)
@@ -578,6 +601,93 @@ class TestTwoByThreeBarrier:
         assert np.max(np.abs(gram - np.eye(d * d - 1))) <= 1e-15
         assert np.max(np.abs(np.trace(basis, axis1=1, axis2=2))) <= 1e-15
         assert np.array_equal(basis, basis.conj().swapaxes(1, 2))
+
+
+class _CountingLinalg:
+    """numpy.linalg with a call counter per function name."""
+
+    def __init__(self):
+        self.calls = {}
+
+    def __getattr__(self, name):
+        fn = getattr(np.linalg, name)
+        if isinstance(fn, type):  # LinAlgError
+            return fn
+
+        def counted(*args, **kwargs):
+            self.calls[name] = self.calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return counted
+
+
+class _NumpyWithCountingLinalg:
+    def __init__(self, linalg):
+        self.linalg = linalg
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+def _two_by_three_ket():
+    ket = np.zeros(6)
+    ket[0], ket[4] = math.sqrt(0.92), math.sqrt(0.08)
+    return DensityOperator.from_ket(ket, TensorSpace.bipartite(2, 3))
+
+
+class TestBarrierWork:
+    """Work per barrier solve, counted through the module's np.linalg: one
+    eigvalsh of omega^{T_B} per objective evaluation and one solve per
+    Newton system. Before the centring steps were warm-started and the
+    Newton system split by t, these states took 110 / 93 / 92 evaluations
+    and 68 / 57 / 57 solves; each count must stay within two thirds of that."""
+
+    @pytest.mark.parametrize("make_rho, opts, evaluations, solves", [
+        (lambda: DensityOperator.from_ket(two_qubit_pure(0.25), SPACE22), SolverOptions(), 110, 68),
+        (lambda: DensityOperator.from_matrix(bell_diagonal((0.8, 0.1, 0.05, 0.05)), SPACE22),
+         SolverOptions(), 93, 57),
+        (_two_by_three_ket, SolverOptions(gap_tol=1e-3), 92, 57),
+    ], ids=["pure-0.25", "bell-diagonal", "2x3-ket"])
+    def test_counts_within_two_thirds_of_before(self, monkeypatch, make_rho, opts,
+                                                evaluations, solves):
+        rho = make_rho()
+        linalg = _CountingLinalg()
+        monkeypatch.setattr(entanglement, "np", _NumpyWithCountingLinalg(linalg))
+        result = relative_entropy_of_entanglement(rho, opts)
+        assert result.status == "converged"
+        assert linalg.calls["eigvalsh"] <= 2 * evaluations / 3
+        assert linalg.calls["solve"] <= 2 * solves / 3
+
+
+def _unitary_from(entries, d):
+    """The unitary factor of a QR decomposition, for any d x d complex matrix."""
+    m = np.reshape(entries, (2, d, d))
+    return np.linalg.qr(m[0] + 1j * m[1])[0]
+
+
+@pytest.mark.parametrize("d_b", [2, 3])
+@settings(max_examples=20, deadline=None)
+@given(rank=st.integers(1, 6), data=st.data())
+def test_relative_entropy_is_local_unitary_invariant(d_b, rank, data):
+    """E_RE(rho) = E_RE((U_A x U_B) rho (U_A x U_B)^dag) to within the
+    larger certified gap; the local frame moves where each centring step's
+    extrapolated start lands."""
+    d = 2 * d_b
+    floats = st.floats(-1.0, 1.0)
+    g = np.reshape(data.draw(st.lists(floats, min_size=2 * d * d, max_size=2 * d * d)), (2, d, d))
+    g = (g[0] + 1j * g[1])[:, :min(rank, d)]
+    m = g @ g.conj().T
+    assume(np.trace(m).real > 1e-3)
+    u_a = _unitary_from(data.draw(st.lists(floats, min_size=8, max_size=8)), 2)
+    u_b = _unitary_from(data.draw(st.lists(floats, min_size=2 * d_b * d_b, max_size=2 * d_b * d_b)), d_b)
+    u = np.kron(u_a, u_b)
+    space = TensorSpace.bipartite(2, d_b)
+    rho = DensityOperator.from_matrix(m / np.trace(m).real, space)
+    rotated = DensityOperator.from_matrix(u @ rho.matrix @ u.conj().T, space)
+    r1 = relative_entropy_of_entanglement(rho)
+    r2 = relative_entropy_of_entanglement(rotated)
+    assert r1.status == r2.status == "converged"
+    gap = max(r1.convergence[-1][2], r2.convergence[-1][2])
+    assert abs(r1.value - r2.value) <= gap + 1e-12
 
 
 class TestPurificationOps:
@@ -645,6 +755,16 @@ class TestPurificationOps:
         rho = random_two_qubit_mixed(gen)
         report = purification_report(rho, 2, EreResult.exact(0.1))
         assert report.single_shot is None
+
+    def test_report_diagonalises_once(self, monkeypatch):
+        rho = random_two_qubit_mixed(rng(34))
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m) or eigh(m))
+        report = purification_report(rho, 2, EreResult.exact(0.1))
+        assert len(calls) == 1
+        monkeypatch.undo()
+        assert report.schumacher == schumacher_rate(rho, 2)
 
     def test_bound_chain_on_sampled_pure_states(self):
         gen = rng(33)

@@ -258,10 +258,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("entanglement", help="entanglement measures and purification bounds")
     common(p)
     p.add_argument("--gap-tol", type=float, default=None,
-                   help="gap target for the solvers (certified on 2x2, 2x3 and 3x2)")
+                   help="gap target for the solvers (certified on 2x2, 2x3 and 3x2); "
+                        "pure states are exact on every shape and run no solver")
     p.add_argument("--max-iter", type=int, default=None,
                    help="iteration cap (barrier centring steps on 2x2, 2x3 and 3x2, "
-                        "Frank-Wolfe steps beyond)")
+                        "Frank-Wolfe steps beyond); pure states run no solver")
     p.add_argument("--with-eoc", action="store_true", help="also compute the creation measure "
                    "(closed form on two qubits, a random-restart descent on larger factors)")
     p.set_defaults(func=cmd_entanglement)

@@ -1,7 +1,8 @@
 """Entanglement measures and purification bounds by constrained optimization.
 
 The relative-entropy measure E_RE minimizes S(rho || omega) over the
-separable set. On 2x2, 2x3 and 3x2 that set is exactly the PPT set (Peres;
+separable set. For a pure state it is closed form and certified on every
+shape. On 2x2, 2x3 and 3x2 that set is exactly the PPT set (Peres;
 Horodecki), so a log-barrier Newton method solves the convex problem with a
 certified gap nu/t; each Newton system is t H_obj + H_bar, both parts built
 once per point from omega's eigensystem, and each centring step starts from
@@ -284,7 +285,7 @@ class EreResult:
 
     value: float
     # the separable omega with value = S(rho || omega) as product terms; None
-    # for exact values and on 2x3 and 3x2, where omega is PPT but not split
+    # from ``exact`` and for mixed states on 2x3 and 3x2 (omega PPT, not split)
     argmin: SeparableMixture | None
     convergence: tuple[tuple[int, float, float], ...]  # (iteration, objective, gap)
     # "converged": the last gap is a bound on value - E_RE and is within
@@ -295,7 +296,7 @@ class EreResult:
 
     @staticmethod
     def exact(value: float) -> "EreResult":
-        """Wrap an independently known value (e.g. the pure-state reduced entropy)."""
+        """Wrap a value known from elsewhere (gap 0, no argmin), not a pure state's."""
         return EreResult(value=float(value), argmin=None,
                          convergence=((0, float(value), 0.0),), status="converged")
 
@@ -388,22 +389,46 @@ def relative_entropy_of_entanglement(rho: DensityOperator,
                                      opts: SolverOptions | None = None) -> EreResult:
     """Minimize S(rho || omega) over separable omega.
 
-    On 2x2, 2x3 and 3x2 the separable states are exactly the PPT states, so
-    the minimum is a smooth convex problem, solved by log-barrier Newton
-    steps (see ``_ppt_barrier``); there "converged" certifies
-    value - E_RE <= gap_tol. Every larger pair of dimensions runs
+    A pure state (one eigenvalue above EIG_FLOOR) of any shape gets the
+    closed form of ``_schmidt_ere`` if its gap is within gap_tol; other
+    states go to a solver. On 2x2, 2x3 and 3x2 the separable states are
+    exactly the PPT states, so the minimum is a smooth convex problem,
+    solved by log-barrier Newton steps (see ``_ppt_barrier``); there
+    "converged" certifies value - E_RE <= gap_tol. Larger factors run
     Frank-Wolfe (see ``_frank_wolfe``), whose gap rests on a local
     product-state oracle and so is only as good as that oracle. Either way
     the value is S(rho || omega) for a separable omega, hence an upper bound
-    on E_RE; the argmin lists omega's product terms except on 2x3 and 3x2,
-    where it is None.
+    on E_RE; the argmin lists omega's product terms except for mixed states
+    on 2x3 and 3x2, where it is None.
     """
     opts = opts or SolverOptions()
     dims = _bipartite_dims(rho, opts.max_factor_dim)
-    s_rho = von_neumann_entropy(rho).nats
+    lam, vecs = hermitian_eig(rho.matrix)
+    s_rho = shannon_entropy(lam).nats
+    if np.count_nonzero(lam > EIG_FLOOR) == 1:
+        result = _schmidt_ere(rho.matrix, s_rho, vecs[:, 0], dims)
+        if result.convergence[-1][2] <= opts.gap_tol:
+            return result
     if dims in ((2, 2), (2, 3), (3, 2)):
         return _ppt_barrier(rho.matrix, s_rho, dims, opts)
     return _frank_wolfe(rho.matrix, s_rho, dims, opts)
+
+
+def _schmidt_ere(rho: np.ndarray, s_rho: float, psi: np.ndarray,
+                 dims: tuple[int, int]) -> EreResult:
+    """E_RE of a pure state, S(rho || sigma) at sigma = sum_k c_k^2 |a_k b_k><a_k b_k|
+    for rho's top eigenvector psi = sum_k c_k |a_k b_k> (Vedral & Plenio 1998).
+    The gap is the value less the entropic lower bound S(rho_A) - S(rho)
+    (Plenio, Virmani & Papadopoulos 2000); it is >= 0 but for rounding."""
+    d_a, d_b = dims
+    form = schmidt_decompose(psi, dims)
+    w = form.coefficients**2
+    u = (form.left[:, None, :] * form.right[None, :, :]).reshape(d_a * d_b, form.rank)
+    value = max(_objective(rho, s_rho, w, u), 0.0)
+    rho_a = np.trace(rho.reshape(d_a, d_b, d_a, d_b), axis1=1, axis2=3)
+    gap = max(value - (shannon_entropy(np.linalg.eigvalsh(rho_a)).nats - s_rho), 0.0)
+    argmin = SeparableMixture(tuple(zip(w, form.left.T, form.right.T)))
+    return EreResult(value=value, argmin=argmin, convergence=((0, value, gap),), status="converged")
 
 
 def _frank_wolfe(rho_m: np.ndarray, s_rho: float, dims: tuple[int, int],
@@ -525,7 +550,8 @@ def _ppt_barrier(rho: np.ndarray, s_rho: float, dims: tuple[int, int],
     starts from that model's x(t) + (1 - 1/mu) t dx/dt, with
     dx/dt = -(t H_obj + H_bar)^{-1} g_obj from the last solve at t, if that
     point is strictly feasible and no worse at mu t, else from x(t). A
-    centring step that fails before convergence ends the run as "stalled";
+    centring step fails once a full step no longer lowers the decrement; one
+    that fails before convergence ends the run as "stalled";
     one that fails after it ends the run at the last centred point. On 2x2
     ``_product_split`` turns the final iterate into product kets and the
     value is S(rho || argmin); on 2x3 and 3x2 the value is S(rho || omega)
@@ -573,7 +599,7 @@ def _ppt_barrier(rho: np.ndarray, s_rho: float, dims: tuple[int, int],
     trace: list[tuple[int, float, float]] = []
     status = "iteration-cap"
     for it in range(opts.max_iter + 1):
-        centred = False
+        centred, last = False, math.inf
         for _ in range(_NEWTON_STEPS):
             g_obj, h_obj, g_bar, h_bar = derivs
             grad = t * g_obj + g_bar
@@ -585,6 +611,9 @@ def _ppt_barrier(rho: np.ndarray, s_rho: float, dims: tuple[int, int],
             if decrement <= _NEWTON_DECREMENT_TOL:
                 centred = True
                 break
+            if decrement < _FULL_STEP_DECREMENT and decrement >= last:
+                break
+            last = decrement
             value = t * point[0] + point[1]
             alpha = 1.0
             while alpha > 1e-12:

@@ -13,6 +13,16 @@ EXAMPLES = Path(__file__).resolve().parent.parent / "docs" / "examples"
 LN2 = math.log(2)
 
 
+def bell_diagonal_scenario(weights):
+    """A two-qubit entanglement scenario for sum_i w_i |Bell_i><Bell_i|."""
+    scenario = json.loads((EXAMPLES / "entanglement.json").read_text())
+    s = 2**-0.5
+    bells = [[s, 0, 0, s], [s, 0, 0, -s], [0, s, s, 0], [0, s, -s, 0]]
+    scenario["state"] = {"dim": 4, "re": [[sum(w * b[i] * b[j] for w, b in zip(weights, bells))
+                                          for j in range(4)] for i in range(4)]}
+    return scenario
+
+
 def run_cli(args, capsys):
     code = main(args)
     captured = capsys.readouterr()
@@ -132,9 +142,12 @@ class TestEntanglementCommand:
         assert trace[0] == "# seed=7"
         assert trace[1] == "iteration,objective,gap"
 
-    def test_cli_overrides_solver_options(self, capsys):
+    def test_cli_overrides_solver_options(self, tmp_path, capsys):
+        # a mixed state: a pure one is exact without the barrier
+        path = tmp_path / "mixed.json"
+        path.write_text(json.dumps(bell_diagonal_scenario((0.8, 0.1, 0.05, 0.05))))
         code, out, _ = run_cli(
-            ["entanglement", "--scenario", str(EXAMPLES / "entanglement.json"),
+            ["entanglement", "--scenario", str(path),
              "--format", "json", "--max-iter", "3", "--gap-tol", "1e-12"], capsys)
         assert code == 0
         blob = json.loads(out)
@@ -151,12 +164,10 @@ class TestEntanglementCommand:
         code, _, err = run_cli(["entanglement", "--scenario", str(bad)], capsys)
         assert code == 2
 
-
-    def test_two_by_three_ket_runs_the_barrier(self, tmp_path, capsys):
-        psi = [math.sqrt(0.92), 0.0, 0.0, 0.0, math.sqrt(0.08), 0.0]
-        scenario = {"version": 1, "dims": [2, 3],
-                    "state": {"dim": 6, "re": [[a * b for b in psi] for a in psi]}}
-        path = tmp_path / "ket23.json"
+    @staticmethod
+    def run_two_by_three(matrix, tmp_path, capsys):
+        scenario = {"version": 1, "dims": [2, 3], "state": {"dim": 6, "re": matrix}}
+        path = tmp_path / "state23.json"
         path.write_text(json.dumps(scenario))
         code, out, _ = run_cli(
             ["entanglement", "--scenario", str(path), "--format", "json"], capsys)
@@ -164,10 +175,25 @@ class TestEntanglementCommand:
 
         def refuse(token):
             raise ValueError(f"non-standard JSON token {token}")
-        blob = json.loads(out, parse_constant=refuse)
+        return json.loads(out, parse_constant=refuse)
+
+    def test_two_by_three_mixed_state_runs_the_barrier(self, tmp_path, capsys):
+        # Bell-diagonal (0.8, 0.2) carried into 2x3 by |j> -> |j> on B
+        a = [math.sqrt(0.4), 0.0, 0.0, 0.0, math.sqrt(0.4), 0.0]
+        b = [0.0, math.sqrt(0.1), 0.0, math.sqrt(0.1), 0.0, 0.0]
+        blob = self.run_two_by_three([[x * y + p * q for y, q in zip(a, b)] for x, p in zip(a, b)],
+                                     tmp_path, capsys)
         assert blob["ere"]["status"] == "converged"
         assert blob["ere"]["mixture_terms"] is None
         assert blob["ere"]["final_gap"] <= 1e-5
+
+    def test_two_by_three_ket_is_exact(self, tmp_path, capsys):
+        psi = [math.sqrt(0.92), 0.0, 0.0, 0.0, math.sqrt(0.08), 0.0]
+        blob = self.run_two_by_three([[a * b for b in psi] for a in psi], tmp_path, capsys)
+        assert blob["ere"]["status"] == "converged"
+        assert blob["ere"]["iterations"] == 1
+        assert blob["ere"]["mixture_terms"] == 2
+        assert blob["ere"]["final_gap"] <= 1e-12
 
 
 class TestSelftestCommand:

@@ -331,7 +331,8 @@ class TestRelativeEntropyOfEntanglement:
             assert len(result.argmin.terms) <= 4
 
     def test_iteration_cap_counts_centring_steps(self):
-        rho = DensityOperator.from_ket(bell_ket(), SPACE22)
+        # a mixed state: a pure one is exact without the barrier
+        rho = DensityOperator.from_matrix(bell_diagonal((0.8, 0.1, 0.05, 0.05)), SPACE22)
         result = relative_entropy_of_entanglement(rho, SolverOptions(max_iter=3, gap_tol=1e-12))
         assert result.status == "iteration-cap"
         assert len(result.convergence) == 4
@@ -521,6 +522,24 @@ class TestBeyondTwoQubits:
         assert len(result.convergence) == 3
 
 
+RANK_TWO_BELL_WEIGHTS = [
+    (0.8, 0.0, 0.2, 0.0),
+    (0.6, 0.4, 0.0, 0.0),
+    (0.9, 0.0, 0.0, 0.1),
+    (0.55, 0.0, 0.45, 0.0),
+    (0.0, 0.3, 0.0, 0.7),
+]
+
+
+def embedded_rank_two_bell_diagonal(weights):
+    """The Bell-diagonal state carried into 2x3, as it is and in one local frame."""
+    gen = rng(63)
+    u = np.kron(random_unitary(gen, 2), random_unitary(gen, 3))
+    m = embed_two_qubit(bell_diagonal(weights)).matrix
+    space = TensorSpace.bipartite(2, 3)
+    return DensityOperator.from_matrix(m, space), DensityOperator.from_matrix(u @ m @ u.conj().T, space)
+
+
 def _assert_certified(result, exact, gap_tol):
     final_gap = result.convergence[-1][2]
     assert result.status == "converged"
@@ -570,24 +589,14 @@ class TestTwoByThreeBarrier:
         assert r23.status == r32.status == "converged"
         assert r32.value == pytest.approx(r23.value, abs=1e-10)
 
-    @pytest.mark.parametrize("weights", [
-        (0.8, 0.0, 0.2, 0.0),
-        (0.6, 0.4, 0.0, 0.0),
-        (0.9, 0.0, 0.0, 0.1),
-        (0.55, 0.0, 0.45, 0.0),
-        (0.0, 0.3, 0.0, 0.7),
-    ])
+    @pytest.mark.parametrize("weights", RANK_TWO_BELL_WEIGHTS)
     def test_embedded_rank_two_bell_diagonal_at_small_gap_tol(self, weights):
         # the path runs to t = 1e11 here, where Newton steps lose precision
         # and the last centring step may fail; the run must still be certified
-        gen = rng(63)
-        u = np.kron(random_unitary(gen, 2), random_unitary(gen, 3))
         opts = SolverOptions(gap_tol=1e-7)
         exact = LN2 - h_bin(max(weights))
-        for rho in (embed_two_qubit(bell_diagonal(weights)).matrix,
-                    u @ embed_two_qubit(bell_diagonal(weights)).matrix @ u.conj().T):
-            result = relative_entropy_of_entanglement(
-                DensityOperator.from_matrix(rho, TensorSpace.bipartite(2, 3)), opts)
+        for rho in embedded_rank_two_bell_diagonal(weights):
+            result = relative_entropy_of_entanglement(rho, opts)
             final_gap = result.convergence[-1][2]
             assert result.status == "converged"
             assert 0.0 <= final_gap <= opts.gap_tol
@@ -639,7 +648,9 @@ class TestBarrierWork:
     eigvalsh of omega^{T_B} per objective evaluation and one solve per
     Newton system. Before the centring steps were warm-started and the
     Newton system split by t, these states took 110 / 93 / 92 evaluations
-    and 68 / 57 / 57 solves; each count must stay within two thirds of that."""
+    and 68 / 57 / 57 solves; each count must stay within two thirds of that.
+    The barrier is called directly, since relative_entropy_of_entanglement
+    takes pure states to the closed form."""
 
     @pytest.mark.parametrize("make_rho, opts, evaluations, solves", [
         (lambda: DensityOperator.from_ket(two_qubit_pure(0.25), SPACE22), SolverOptions(), 110, 68),
@@ -652,10 +663,28 @@ class TestBarrierWork:
         rho = make_rho()
         linalg = _CountingLinalg()
         monkeypatch.setattr(entanglement, "np", _NumpyWithCountingLinalg(linalg))
-        result = relative_entropy_of_entanglement(rho, opts)
+        result = entanglement._ppt_barrier(rho.matrix, von_neumann_entropy(rho).nats,
+                                           rho.space.dims, opts)
         assert result.status == "converged"
         assert linalg.calls["eigvalsh"] <= 2 * evaluations / 3
         assert linalg.calls["solve"] <= 2 * solves / 3
+
+
+    @pytest.mark.parametrize("weights", RANK_TWO_BELL_WEIGHTS)
+    def test_small_gap_tol_stops_at_the_rounding_floor(self, monkeypatch, weights):
+        # at gap_tol 1e-7 the decrement of the t = 1e11 centring step stalls
+        # at 1e-11 - 1e-10; when all _NEWTON_STEPS full steps ran before that
+        # step failed, these solves took 55 - 92 Newton solves
+        opts = SolverOptions(gap_tol=1e-7)
+        exact = LN2 - h_bin(max(weights))
+        for rho in embedded_rank_two_bell_diagonal(weights):
+            linalg = _CountingLinalg()
+            monkeypatch.setattr(entanglement, "np", _NumpyWithCountingLinalg(linalg))
+            result = relative_entropy_of_entanglement(rho, opts)
+            monkeypatch.undo()
+            assert result.status == "converged"
+            assert -1e-12 <= result.value - exact <= result.convergence[-1][2]
+            assert linalg.calls["solve"] <= 60
 
 
 def _unitary_from(entries, d):
@@ -689,6 +718,68 @@ def test_relative_entropy_is_local_unitary_invariant(d_b, rank, data):
     gap = max(r1.convergence[-1][2], r2.convergence[-1][2])
     assert abs(r1.value - r2.value) <= gap + 1e-12
 
+
+@pytest.mark.parametrize("d_a", [2, 3, 4])
+@pytest.mark.parametrize("d_b", [2, 3, 4])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_pure_states_are_exact_on_every_shape(d_a, d_b, data):
+    """A ket's E_RE is its entropy of entanglement, attained at the
+    Schmidt-diagonal product mixture and certified by S(rho_A) - S(rho),
+    with no solver run; the barrier stays the reference where it runs."""
+    d = d_a * d_b
+    entries = np.reshape(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=2 * d, max_size=2 * d)), (2, d))
+    psi = entries[0] + 1j * entries[1]
+    assume(np.linalg.norm(psi) > 1e-3)
+    psi /= np.linalg.norm(psi)
+    rho = DensityOperator.from_ket(psi, TensorSpace.bipartite(d_a, d_b))
+    result = relative_entropy_of_entanglement(rho)
+    final_gap = result.convergence[-1][2]
+    assert result.status == "converged"
+    assert len(result.convergence) == 1
+    assert 0.0 <= final_gap <= 1e-12
+    assert all(ka.size == d_a and kb.size == d_b for _, ka, kb in result.argmin.terms)
+    assert relative_entropy(rho, assemble(result.argmin)).nats == pytest.approx(result.value, abs=1e-10)
+    assert result.value == pytest.approx(entropy_of_entanglement(psi, (d_a, d_b)).nats, abs=1e-10)
+    if (d_a, d_b) in ((2, 2), (2, 3), (3, 2)):
+        barrier = entanglement._ppt_barrier(rho.matrix, von_neumann_entropy(rho).nats,
+                                            (d_a, d_b), SolverOptions())
+        assert abs(result.value - barrier.value) <= barrier.convergence[-1][2] + 1e-12
+
+
+class TestPureStateEdges:
+    def test_product_ket(self):
+        psi = np.kron(random_ket(RNG, 2), random_ket(RNG, 3))
+        result = relative_entropy_of_entanglement(DensityOperator.from_ket(psi, TensorSpace.bipartite(2, 3)))
+        assert result.status == "converged"
+        assert result.value == 0.0
+        assert len(result.argmin.terms) == 1
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_maximally_entangled_ket(self, d):
+        # d equal Schmidt weights: the reduced state is I/d, fully degenerate
+        psi = np.eye(d).reshape(-1) / math.sqrt(d)
+        result = relative_entropy_of_entanglement(DensityOperator.from_ket(psi, TensorSpace.bipartite(d, d)))
+        assert result.status == "converged"
+        assert result.value == pytest.approx(math.log(d), abs=1e-12)
+        assert result.convergence[-1][2] <= 1e-12
+        assert [p for p, _, _ in result.argmin.terms] == pytest.approx([1.0 / d] * d, abs=1e-15)
+
+    def test_near_pure_state_falls_through_to_the_barrier(self):
+        # rank one to EIG_FLOOR, but its entropic gap is 2.7e-11: exact at
+        # the default gap_tol, handed to the barrier untouched at 1e-12
+        eps = 3.6e-12
+        m = (1.0 - eps) * np.diag([1.0, 0.0, 0.0, 0.0]) + eps * np.eye(4) / 4
+        rho = DensityOperator.from_matrix(m, SPACE22)
+        assert np.count_nonzero(np.linalg.eigvalsh(m) > 1e-12) == 1
+        exact = relative_entropy_of_entanglement(rho)
+        assert len(exact.convergence) == 1 and 1e-12 < exact.convergence[-1][2] <= 1e-5
+        opts = SolverOptions(gap_tol=1e-12)
+        result = relative_entropy_of_entanglement(rho, opts)
+        barrier = entanglement._ppt_barrier(m, von_neumann_entropy(rho).nats, (2, 2), opts)
+        assert len(result.convergence) > 1
+        assert result.convergence == barrier.convergence
+        assert result.value == barrier.value
 
 class TestPurificationOps:
     def test_bell_bound_is_one(self):

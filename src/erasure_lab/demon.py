@@ -204,6 +204,9 @@ class QecScenario:
             "apparatus_states",
             tuple(np.asarray(m, dtype=complex).reshape(-1) for m in self.apparatus_states),
         )
+        for kind, vecs in (("code words", self.codewords), ("apparatus states", self.apparatus_states)):
+            if len({v.size for v in vecs}) > 1:
+                raise InputError(f"{kind} must share one length, got {[v.size for v in vecs]}")
         d = self.codewords[0].size
         v = np.column_stack(self.codewords)
         gram = v.conj().T @ v
@@ -262,7 +265,7 @@ def uhlmann_fidelity(rho: DensityOperator, sigma: DensityOperator) -> float:
     """(tr sqrt(sqrt(rho) sigma sqrt(rho)))^2, equal to <psi|sigma|psi> for pure rho."""
     if rho.dim != sigma.dim:
         raise InputError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
-    lam, vecs = hermitian_eig(rho.matrix)
+    lam, vecs = rho.eigenvalues, rho.eigenvectors
     root = (vecs * np.sqrt(np.clip(lam, 0.0, None))) @ vecs.conj().T
     inner = root @ sigma.matrix @ root
     lam2, _ = hermitian_eig((inner + inner.conj().T) / 2.0)
@@ -317,14 +320,13 @@ def qec_cycle(scenario: QecScenario) -> QecCycleResult:
     m_dim = scenario.apparatus_dim
 
     v = scenario.encoder
-    rho_logical = scenario.input_state.matrix
-    rho_c = v @ rho_logical @ v.conj().T
+    rho_c = v @ scenario.input_state.matrix @ v.conj().T
     space_s = TensorSpace.single("S", d)
     encoded = DensityOperator(space_s, rho_c)
     s_initial = von_neumann_entropy(encoded).nats
 
     # Explicit environment record: branch amplitudes sqrt(p_i) E_i |chi_k> (x) |m0> (x) |e_i>.
-    w_in, chi = hermitian_eig(rho_logical)
+    w_in, chi = scenario.input_state.eigenvalues, scenario.input_state.eigenvectors
     keep = w_in > EIG_FLOOR
     w_in, chi = w_in[keep], chi[:, keep]
     m0 = np.zeros(m_dim, dtype=complex)

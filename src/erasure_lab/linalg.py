@@ -2,14 +2,16 @@
 
 Everything in this module is a pure function over immutable values: matrices
 are numpy arrays treated as read-only, spaces and density operators are frozen
-dataclasses. Composite indices are row-major with the first tensor factor most
-significant, so ``|i>|j>`` of dims ``(da, db)`` sits at flat index ``i*db + j``.
+dataclasses, and a density operator holds the spectrum it was validated with in
+read-only arrays. Composite indices are row-major with the first tensor factor
+most significant, so ``|i>|j>`` of dims ``(da, db)`` sits at flat index
+``i*db + j``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -108,25 +110,31 @@ class DensityOperator:
 
     Construction validates Hermiticity, unit trace and positivity to the
     module thresholds ``HERMITICITY_TOL``, ``UNIT_TRACE_TOL`` and ``PSD_TOL``.
+    The positivity check's ``hermitian_eig`` is kept as ``eigenvalues``
+    (descending) and ``eigenvectors`` (columns), so consumers diagonalise
+    nothing; these and a private copy of ``matrix`` are read-only.
     """
 
     space: TensorSpace
     matrix: np.ndarray
+    eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
+    eigenvectors: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        m = _as_square_array(self.matrix)
-        object.__setattr__(self, "matrix", m)
+        m = np.array(_as_square_array(self.matrix))
         if m.shape[0] != self.space.dim:
             raise InputError(
                 f"matrix dimension {m.shape[0]} does not match space dimension {self.space.dim}"
             )
-        require_hermitian(m)
+        lam, vecs = hermitian_eig(m)
         tr = complex(np.trace(m))
         if not abs(tr - 1.0) <= UNIT_TRACE_TOL:
             raise InputError(f"trace must be 1, got {tr}")
-        lam_min = np.linalg.eigvalsh((m + m.conj().T) / 2.0)[0]
-        if not lam_min >= -PSD_TOL:
-            raise InputError(f"matrix is not positive semidefinite: min eigenvalue {lam_min:.3e}")
+        if not lam[-1] >= -PSD_TOL:
+            raise InputError(f"matrix is not positive semidefinite: min eigenvalue {lam[-1]:.3e}")
+        for name, a in (("matrix", m), ("eigenvalues", lam), ("eigenvectors", vecs)):
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
 
     @staticmethod
     def from_matrix(m, space: TensorSpace | None = None) -> "DensityOperator":

@@ -1,7 +1,10 @@
-"""Builders that only the tests use: random separable mixtures, and the
-density operator or ket that a mixture or Schmidt form stands for."""
+"""Builders that only the tests use: random separable mixtures, the
+density operator or ket that a mixture or Schmidt form stands for, and
+matrices and states drawn by hypothesis."""
 
 import numpy as np
+from hypothesis import assume
+from hypothesis import strategies as st
 
 from erasure_lab.entanglement import SchmidtForm, SeparableMixture
 from erasure_lab.linalg import DensityOperator, TensorSpace
@@ -29,3 +32,19 @@ def reconstruct(form: SchmidtForm) -> np.ndarray:
     for k in range(form.rank):
         out += form.coefficients[k] * np.kron(form.left[:, k], form.right[:, k])
     return out
+
+
+def draw_matrix(data, d: int) -> np.ndarray:
+    """A d x d complex matrix with real and imaginary parts in [-1, 1]."""
+    floats = st.floats(-1.0, 1.0)
+    g = np.reshape(data.draw(st.lists(floats, min_size=2 * d * d, max_size=2 * d * d)), (2, d, d))
+    return g[0] + 1j * g[1]
+
+
+def draw_state(data, d: int, space: TensorSpace | None = None,
+               identity_weight: float = 0.0) -> DensityOperator:
+    """G G^dag + identity_weight I, normalised; identity_weight > 0 keeps it full rank."""
+    g = draw_matrix(data, d)
+    m = g @ g.conj().T + identity_weight * np.eye(d)
+    assume(np.trace(m).real > 1e-3)
+    return DensityOperator.from_matrix(m / np.trace(m).real, space)

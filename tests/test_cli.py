@@ -124,6 +124,18 @@ class TestDemonCommand:
         assert code == 2
         assert "missing" in err
 
+    @pytest.mark.parametrize("field", ["codewords", "apparatus_states"])
+    def test_ragged_vectors_exit_2(self, field, tmp_path, capsys):
+        scenario = json.loads((EXAMPLES / "demon_qec.json").read_text())
+        scenario.pop("apparatus_overlap")
+        scenario["apparatus_states"] = [{"re": [float(i == j) for j in range(4)]} for i in range(4)]
+        scenario[field][-1] = {"re": [1.0, 0.0, 0.0]}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(scenario))
+        code, _, err = run_cli(["demon", "--scenario", str(bad)], capsys)
+        assert code == 2
+        assert "scenario error" in err and "share one length" in err
+
 
 class TestEntanglementCommand:
     def test_bell_report(self, tmp_path, capsys):

@@ -847,14 +847,25 @@ class TestPurificationOps:
         report = purification_report(rho, 2, EreResult.exact(0.1))
         assert report.single_shot is None
 
-    def test_report_diagonalises_once(self, monkeypatch):
-        rho = random_two_qubit_mixed(rng(34))
-        calls = []
-        eigh = np.linalg.eigh
-        monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m) or eigh(m))
-        report = purification_report(rho, 2, EreResult.exact(0.1))
-        assert len(calls) == 1
+    def test_state_is_diagonalised_once(self, monkeypatch):
+        """Construction diagonalises rho; S, E_RE, E_C and the report read
+        the spectrum it kept. Solver calls on other matrices are not counted."""
+        matrix = random_two_qubit_mixed(rng(34)).matrix
+        on_rho = []
+        for name in ("eigh", "eigvalsh"):
+            def counted(m, *args, _solver=getattr(np.linalg, name), **kwargs):
+                a = np.asarray(m)
+                on_rho.append(a.shape == matrix.shape and np.allclose(a, matrix, rtol=0, atol=1e-12))
+                return _solver(m, *args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
+        rho = DensityOperator(SPACE22, matrix)
+        von_neumann_entropy(rho)
+        ere = relative_entropy_of_entanglement(rho)
+        entanglement_of_creation(rho)
+        report = purification_report(rho, 2, ere)
         monkeypatch.undo()
+        assert ere.value > 1e-3  # entangled: no solver iterate approaches rho
+        assert sum(on_rho) == 1
         assert report.schumacher == schumacher_rate(rho, 2)
 
     def test_bound_chain_on_sampled_pure_states(self):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from erasure_lab.entropy import (
@@ -16,6 +16,7 @@ from erasure_lab.entropy import (
 )
 from erasure_lab.errors import InputError
 from erasure_lab.linalg import DensityOperator, TensorSpace, hermitian_eig, partial_trace, tensor_product
+from helpers import draw_matrix, draw_state
 
 RNG = np.random.default_rng(77)
 LN2 = math.log(2)
@@ -196,28 +197,14 @@ class TestClassicalEntropies:
 # Properties over states drawn by hypothesis
 # ---------------------------------------------------------------------------
 
-def _draw_matrix(data, d):
-    floats = st.floats(-1.0, 1.0)
-    g = np.reshape(data.draw(st.lists(floats, min_size=2 * d * d, max_size=2 * d * d)), (2, d, d))
-    return g[0] + 1j * g[1]
-
-
-def _draw_state(data, d, space=None, identity_weight=0.0):
-    """G G^dag + identity_weight I, normalised; identity_weight > 0 keeps it full rank."""
-    g = _draw_matrix(data, d)
-    m = g @ g.conj().T + identity_weight * np.eye(d)
-    assume(np.trace(m).real > 1e-3)
-    return DensityOperator.from_matrix(m / np.trace(m).real, space)
-
-
 @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2)])
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_relative_entropy_is_monotone_under_partial_trace(dims, data):
     """S(rho_A || sigma_A) <= S(rho || sigma), and likewise on B (Lindblad-Uhlmann)."""
     space = TensorSpace.bipartite(*dims)
-    rho = _draw_state(data, space.dim, space)
-    sigma = _draw_state(data, space.dim, space, identity_weight=0.05)
+    rho = draw_state(data, space.dim, space)
+    sigma = draw_state(data, space.dim, space, identity_weight=0.05)
     joint = relative_entropy(rho, sigma).nats
     for keep in ("A", "B"):
         reduced = relative_entropy(partial_trace(rho, [keep]), partial_trace(sigma, [keep])).nats
@@ -228,9 +215,9 @@ def test_relative_entropy_is_monotone_under_partial_trace(dims, data):
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_relative_entropy_is_unitary_invariant(d, data):
-    rho = _draw_state(data, d)
-    sigma = _draw_state(data, d, identity_weight=0.05)
-    u = np.linalg.qr(_draw_matrix(data, d))[0]
+    rho = draw_state(data, d)
+    sigma = draw_state(data, d, identity_weight=0.05)
+    u = np.linalg.qr(draw_matrix(data, d))[0]
     rotated = relative_entropy(DensityOperator.from_matrix(u @ rho.matrix @ u.conj().T),
                                DensityOperator.from_matrix(u @ sigma.matrix @ u.conj().T)).nats
     value = relative_entropy(rho, sigma).nats
@@ -241,7 +228,7 @@ def test_relative_entropy_is_unitary_invariant(d, data):
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_entropy_is_additive_under_tensor_product(d_a, d_b, data):
-    rho, tau = _draw_state(data, d_a), _draw_state(data, d_b)
+    rho, tau = draw_state(data, d_a), draw_state(data, d_b)
     joint = DensityOperator.from_matrix(tensor_product(rho.matrix, tau.matrix))
     expected = von_neumann_entropy(rho).nats + von_neumann_entropy(tau).nats
     assert abs(von_neumann_entropy(joint).nats - expected) <= 1e-9

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from erasure_lab.entropy import von_neumann_entropy
 from erasure_lab.errors import InputError
 from erasure_lab.linalg import (
     DensityOperator,
@@ -11,6 +12,8 @@ from erasure_lab.linalg import (
     tensor_product,
     vector_from_json,
 )
+from erasure_lab.sampling import random_density
+from erasure_lab.thermo import HamiltonianSpec, gibbs_state
 
 RNG = np.random.default_rng(1234)
 
@@ -222,6 +225,56 @@ class TestDensityOperator:
     def test_from_ket_requires_unit_norm(self):
         with pytest.raises(InputError):
             DensityOperator.from_ket(np.array([1.0, 1.0]))
+
+
+def cold_gibbs_state():
+    """beta = 1e3 on a spread-out spectrum: the excited weights underflow to 0."""
+    ham = HamiltonianSpec(3.0 * random_hermitian(4, np.random.default_rng(77)), beta=1e3)
+    assert (ham.gibbs_weights == 0.0).any()
+    return gibbs_state(ham)
+
+
+EDGE_STATES = {
+    "rank-1": lambda: random_density(np.random.default_rng(1), 4, rank=1),
+    "rank-2": lambda: random_density(np.random.default_rng(2), 4, rank=2),
+    "mixed-2": lambda: DensityOperator.maximally_mixed(TensorSpace.single("q", 2)),
+    "mixed-4": lambda: DensityOperator.maximally_mixed(TensorSpace.single("q", 4)),
+    "mixed-8": lambda: DensityOperator.maximally_mixed(TensorSpace.single("q", 8)),
+    "gibbs-beta-1e3": cold_gibbs_state,
+}
+
+
+@pytest.mark.parametrize("make", EDGE_STATES.values(), ids=EDGE_STATES.keys())
+class TestStoredSpectrum:
+    """The spectrum a state keeps from validation, on rank-deficient,
+    fully degenerate and underflowing spectra."""
+
+    def test_spectrum_reconstructs_matrix(self, make):
+        rho = make()
+        lam, v = rho.eigenvalues, rho.eigenvectors
+        assert np.all(np.diff(lam) <= 0.0)
+        np.testing.assert_allclose(v.conj().T @ v, np.eye(rho.dim), atol=1e-12)
+        np.testing.assert_allclose((v * lam) @ v.conj().T, rho.matrix, atol=1e-12)
+
+    def test_entropy_matches_fresh_eigvalsh(self, make):
+        rho = make()
+        lam = np.linalg.eigvalsh(rho.matrix)
+        pos = lam[lam > 0.0]
+        assert von_neumann_entropy(rho).nats == pytest.approx(-np.sum(pos * np.log(pos)), abs=1e-12)
+
+    @pytest.mark.parametrize("name", ["matrix", "eigenvalues", "eigenvectors"])
+    def test_arrays_are_read_only(self, make, name):
+        array = getattr(make(), name)
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+        with pytest.raises(ValueError):
+            array *= 2.0
+
+    def test_input_array_is_copied(self, make):
+        source = np.array(make().matrix)
+        rho = DensityOperator.from_matrix(source)
+        source[0, 0] += 1.0
+        np.testing.assert_array_equal(rho.matrix, make().matrix)
 
 
 class TestTensorSpace:

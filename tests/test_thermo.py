@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from erasure_lab.entropy import EntropyValue, relative_entropy, von_neumann_entropy
 from erasure_lab.errors import InputError
@@ -15,6 +17,7 @@ from erasure_lab.thermo import (
     thermalize,
     trace_distance,
 )
+from helpers import draw_matrix, draw_state
 
 RNG = np.random.default_rng(2024)
 
@@ -259,3 +262,41 @@ class TestThermalize:
         trace = thermalize(random_state(2), h, 0.5, max_steps=20, tol=1e-4)
         blob = trace.to_json()
         assert blob["steps"][0]["index"] == 0
+
+
+# ---------------------------------------------------------------------------
+# Properties over states and Hamiltonians drawn by hypothesis (the ranges of
+# the selftest's Landauer and free-energy families)
+# ---------------------------------------------------------------------------
+
+def _draw_hamiltonian(data, d):
+    h = draw_matrix(data, d)
+    return HamiltonianSpec((h + h.conj().T) / 2, beta=data.draw(st.floats(0.2, 3.0)))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_erasure_cost_is_at_least_the_erased_entropy(d, data):
+    """Landauer: -tr(rho ln omega) >= S(rho), whatever the reservoir."""
+    rho, ham = draw_state(data, d), _draw_hamiltonian(data, d)
+    info = von_neumann_entropy(rho)
+    report = erasure_entropy(rho, ham, info)
+    assert report.delta_total >= info.nats - 1e-9
+    assert report.landauer_satisfied
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_free_energy_excess_is_relative_entropy(d, data):
+    """F(rho) - F(omega) = T S(rho || omega) for the Gibbs state omega of H."""
+    rho, ham = draw_state(data, d), _draw_hamiltonian(data, d)
+    lhs = free_energy(rho, ham) - free_energy(gibbs_state(ham), ham)
+    # S(rho || omega) in H's eigenbasis, where omega is diag(Gibbs weights)
+    # exactly; diagonalising the dense Gibbs matrix again loses the relative
+    # precision of its smallest weights (see the selftest's free-energy family).
+    rho_h = DensityOperator.from_matrix(ham.frame.conj().T @ rho.matrix @ ham.frame)
+    omega_h = DensityOperator.from_matrix(np.diag(ham.gibbs_weights))
+    rhs = ham.temperature * relative_entropy(rho_h, omega_h).nats
+    assert abs(lhs - rhs) <= 1e-9 * max(abs(rhs), 1.0)

@@ -6,7 +6,6 @@ from .demon import (
     QecCycleResult,
     QecScenario,
     classical_cycle,
-    imperfect_erasure_entropy,
     qec_cycle,
     recovery_fidelity_vs_overlap,
     three_qubit_bit_flip_scenario,

@@ -59,7 +59,9 @@ def _to_json(report: dict) -> str:
     return json.dumps(report, indent=2, allow_nan=False)
 
 
-def _emit(args, seed: int, command: str, json_report: dict, text_report: str) -> None:
+def _emit(args, seed: int, command: str, json_report: dict, text_report: str,
+          csv_text: str | None = None) -> None:
+    """Print the report; ``--out`` receives ``csv_text`` when given (demon), else the JSON."""
     json_report = {"command": command, "seed": seed, **json_report}
     if args.format == "json":
         print(_to_json(json_report))
@@ -67,7 +69,16 @@ def _emit(args, seed: int, command: str, json_report: dict, text_report: str) ->
         print(f"# erasure-lab {command} seed={seed}")
         print(text_report, end="")
     if args.out:
-        _write(args.out, _to_json(json_report) + "\n")
+        _write(args.out, _to_json(json_report) + "\n" if csv_text is None else csv_text)
+
+
+def _csv_shown(args, noun: str, csv_block: str) -> str:
+    """Text mode shows a demon CSV in place, or names the ``--out`` file it went to."""
+    return f"{noun} written to {args.out}\n" if args.out else csv_block
+
+
+def _violations(problems: list[str]) -> str:
+    return "".join(f"VIOLATION: {p}\n" for p in problems)
 
 
 def cmd_erasure(args) -> int:
@@ -89,19 +100,11 @@ def cmd_erasure(args) -> int:
 
 
 def _demon_classical(args, payload, seed) -> int:
-    ledger = classical_cycle(payload.get("error_probability", 0.5),
-                             payload.get("temperature", 1.0))
+    ledger = classical_cycle(payload["error_probability"], payload.get("temperature", 1.0))
     problems = ledger.check_cycle()
     csv_text = f"# seed={seed}\n" + ledger.to_csv()
-    _write(args.out, csv_text)
-    if args.format == "json":
-        print(_to_json({"command": "demon", "seed": seed, "ledger": ledger.to_json(),
-                        "violations": problems}))
-    else:
-        print(f"# erasure-lab demon seed={seed}")
-        print(csv_text if not args.out else f"ledger written to {args.out}")
-        for p in problems:
-            print(f"VIOLATION: {p}")
+    text = _csv_shown(args, "ledger", csv_text + "\n") + _violations(problems)
+    _emit(args, seed, "demon", {"ledger": ledger.to_json(), "violations": problems}, text, csv_text)
     return VIOLATION if problems else OK
 
 
@@ -111,51 +114,34 @@ def _demon_qec(args, payload, seed) -> int:
     perfect_observation = scenario.overlap <= 1e-9
     problems = result.ledger.check_cycle(require_system_closure=perfect_observation)
     csv_text = f"# seed={seed}\n" + result.ledger.to_csv()
-    _write(args.out, csv_text)
     summary = {
         "recovery_fidelity": result.recovery_fidelity,
         "gc_entropy": result.gc_entropy,
         "info_gain": result.info_gain,
         "apparatus_overlap": scenario.overlap,
     }
-    if args.format == "json":
-        print(_to_json({"command": "demon", "seed": seed, "ledger": result.ledger.to_json(),
-                        **summary, "violations": problems}))
-    else:
-        print(f"# erasure-lab demon seed={seed}")
-        if args.out:
-            print(f"ledger written to {args.out}")
-        else:
-            print(csv_text, end="")
-        for key, value in summary.items():
-            print(f"{key:<20} {value:.9f}" if isinstance(value, float) else f"{key:<20} {value}")
-        for p in problems:
-            print(f"VIOLATION: {p}")
+    text = _csv_shown(args, "ledger", csv_text)
+    text += "".join(f"{key:<20} {value:.9f}\n" for key, value in summary.items())
+    text += _violations(problems)
+    _emit(args, seed, "demon", {"ledger": result.ledger.to_json(), **summary,
+                                "violations": problems}, text, csv_text)
     return VIOLATION if problems else OK
 
 
 def _demon_sweep(args, payload, seed) -> int:
-    base = dict(payload)
-    base.pop("overlaps", None)
-    base.setdefault("apparatus_overlap", 0.0)
-    template = scenario_mod.build_qec_scenario(base)
+    template = scenario_mod.build_qec_scenario(payload)
     rows = recovery_fidelity_vs_overlap(template, payload["overlaps"])
     lines = [f"# seed={seed}", "overlap,fidelity,erasure_entropy"]
     lines += [f"{r.overlap:.6g},{r.fidelity:.12g},{r.erasure_entropy:.12g}" for r in rows]
     csv_text = "\n".join(lines) + "\n"
-    _write(args.out, csv_text)
     monotone = all(rows[i + 1].fidelity <= rows[i].fidelity + 1e-9 for i in range(len(rows) - 1))
-    if args.format == "json":
-        print(_to_json({
-            "command": "demon", "seed": seed, "fidelity_monotone": monotone,
-            "rows": [{"overlap": r.overlap, "fidelity": r.fidelity,
-                      "erasure_entropy": r.erasure_entropy} for r in rows],
-        }))
-    else:
-        print(f"# erasure-lab demon seed={seed}")
-        print(csv_text if not args.out else f"sweep written to {args.out}")
-        if not monotone:
-            print("VIOLATION: fidelity column is not non-increasing")
+    text = _csv_shown(args, "sweep", csv_text + "\n")
+    if not monotone:
+        text += "VIOLATION: fidelity column is not non-increasing\n"
+    report = {"fidelity_monotone": monotone,
+              "rows": [{"overlap": r.overlap, "fidelity": r.fidelity,
+                        "erasure_entropy": r.erasure_entropy} for r in rows]}
+    _emit(args, seed, "demon", report, text, csv_text)
     return OK if monotone else VIOLATION
 
 

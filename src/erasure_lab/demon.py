@@ -2,7 +2,7 @@
 
 Two simulations live here: the classical two-atom feedback cycle (a box-atom
 bit monitored and reset by a second atom) and the quantum error-correction
-cycle (encode, decohering errors with an environment record, observation by an
+cycle (encode, weighted unitary errors applied in Kraus form, observation by an
 apparatus, conditional recovery, and a garbage-can swap reset). Both emit an
 EntropyLedger whose columns track the system, apparatus and garbage-can
 entropy changes per step, in nats with k_B = 1.
@@ -11,14 +11,13 @@ entropy changes per step, in nats with k_B = 1.
 from __future__ import annotations
 
 import io
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .entropy import binary_entropy, mutual_information, von_neumann_entropy
 from .errors import InputError, UnsupportedScenarioError
-from .linalg import EIG_FLOOR, DensityOperator, TensorSpace, hermitian_eig
+from .linalg import DensityOperator, TensorSpace, hermitian_eig
 
 __all__ = [
     "LedgerStep",
@@ -28,7 +27,6 @@ __all__ = [
     "OverlapSweepRow",
     "classical_cycle",
     "qec_cycle",
-    "imperfect_erasure_entropy",
     "recovery_fidelity_vs_overlap",
     "equal_overlap_states",
     "three_qubit_bit_flip_scenario",
@@ -65,19 +63,20 @@ class EntropyLedger:
             "info_gain": sum(s.info_gain for s in self.steps),
         }
 
-    def check_cycle(self, tol: float = CLOSURE_TOL, require_system_closure: bool = True) -> list[str]:
-        """Cycle-closure and Landauer violations, empty when the ledger is consistent.
+    def check_cycle(self, require_system_closure: bool = True) -> list[str]:
+        """Cycle-closure and Landauer violations beyond ``CLOSURE_TOL``, empty
+        when the ledger is consistent.
 
         The system column closes only when recovery is perfect; callers running
         imperfect-observation sweeps skip that check via the flag.
         """
         t = self.totals()
         problems = []
-        if require_system_closure and abs(t["dS_system"]) > tol:
+        if require_system_closure and abs(t["dS_system"]) > CLOSURE_TOL:
             problems.append(f"system entropy does not close: sum = {t['dS_system']:.3e}")
-        if abs(t["dS_apparatus"]) > tol:
+        if abs(t["dS_apparatus"]) > CLOSURE_TOL:
             problems.append(f"apparatus entropy does not close: sum = {t['dS_apparatus']:.3e}")
-        if t["dS_garbage"] < t["info_gain"] - tol:
+        if t["dS_garbage"] < t["info_gain"] - CLOSURE_TOL:
             problems.append(
                 f"garbage entropy {t['dS_garbage']:.6f} below information gain {t['info_gain']:.6f}"
             )
@@ -183,12 +182,16 @@ def _pairwise_overlap(states: list[np.ndarray], tol: float = 1e-9) -> float:
 @dataclass(frozen=True)
 class QecScenario:
     """Code words, an input state on the logical space, weighted unitary errors
-    and the apparatus states that record which error occurred."""
+    and the apparatus states that record which error occurred.
+
+    ``overlap`` is the common |<m_i|m_j>| that validation checks.
+    """
 
     codewords: tuple[np.ndarray, ...]
     input_state: DensityOperator
     errors: tuple[tuple[np.ndarray, float], ...]
     apparatus_states: tuple[np.ndarray, ...]
+    overlap: float = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(
@@ -230,7 +233,7 @@ class QecScenario:
         for m in self.apparatus_states:
             if abs(np.linalg.norm(m) - 1.0) > 1e-9:
                 raise InputError("apparatus states must be unit vectors")
-        _pairwise_overlap(list(self.apparatus_states))
+        object.__setattr__(self, "overlap", _pairwise_overlap(list(self.apparatus_states)))
 
     @property
     def system_dim(self) -> int:
@@ -239,10 +242,6 @@ class QecScenario:
     @property
     def apparatus_dim(self) -> int:
         return self.apparatus_states[0].size
-
-    @property
-    def overlap(self) -> float:
-        return _pairwise_overlap(list(self.apparatus_states))
 
     @property
     def encoder(self) -> np.ndarray:
@@ -256,9 +255,10 @@ class QecCycleResult:
     recovery_fidelity: float
     gc_entropy: float
     info_gain: float
-    # Entropy of the full system+apparatus+environment state before the trace;
-    # zero for a pure input, None when the check was skipped.
-    pre_trace_entropy: float | None = None
+    # Entropy of the full system+apparatus+environment state before the trace.
+    # The dilation psi -> sum_i sqrt(p_i) E_i V psi (x) |e_i> is an isometry, so
+    # this is S(input_state): zero for a pure input.
+    pre_trace_entropy: float
 
 
 def uhlmann_fidelity(rho: DensityOperator, sigma: DensityOperator) -> float:
@@ -310,13 +310,12 @@ def _measurement_probabilities(scenario: QecScenario) -> np.ndarray:
 def qec_cycle(scenario: QecScenario) -> QecCycleResult:
     """Run one error-correction cycle and account for every entropy change.
 
-    Steps: encode, apply weighted errors with an explicit environment record
-    (orthonormal record states), trace out the environment, correlate the
-    apparatus with the error branch, recover conditioned on the apparatus
-    readout, and finally swap the apparatus into a garbage can.
+    Steps: encode, apply the weighted errors as the Kraus-form channel
+    sum_i p_i E_i rho E_i^dag, correlate the apparatus with the error branch,
+    recover conditioned on the apparatus readout, and finally swap the
+    apparatus into a garbage can.
     """
     d = scenario.system_dim
-    n_err = len(scenario.errors)
     m_dim = scenario.apparatus_dim
 
     v = scenario.encoder
@@ -325,35 +324,13 @@ def qec_cycle(scenario: QecScenario) -> QecCycleResult:
     encoded = DensityOperator(space_s, rho_c)
     s_initial = von_neumann_entropy(encoded).nats
 
-    # Explicit environment record: branch amplitudes sqrt(p_i) E_i |chi_k> (x) |m0> (x) |e_i>.
-    w_in, chi = scenario.input_state.eigenvalues, scenario.input_state.eigenvectors
-    keep = w_in > EIG_FLOOR
-    w_in, chi = w_in[keep], chi[:, keep]
-    m0 = np.zeros(m_dim, dtype=complex)
-    m0[0] = 1.0
-    branch_kets = []  # one (d*m_dim, n_err) matrix per input eigenvector
-    for k in range(chi.shape[1]):
-        psi = v @ chi[:, k]
-        cols = np.empty((d * m_dim, n_err), dtype=complex)
-        for i, (e_op, p) in enumerate(scenario.errors):
-            cols[:, i] = math.sqrt(max(p, 0.0)) * np.kron(e_op @ psi, m0)
-        branch_kets.append(cols)
-
-    # Entropy of the total state from the Gram matrix of its (few) components.
-    flat = np.column_stack([math.sqrt(wk) * cols.reshape(-1) for wk, cols in zip(w_in, branch_kets)])
-    gram = flat.conj().T @ flat
-    g_lam, _ = hermitian_eig(gram)
-    g_lam = np.clip(np.real(g_lam), 0.0, None)
-    pre_trace_entropy = float(-np.sum(g_lam[g_lam > 0] * np.log(g_lam[g_lam > 0])))
-
-    # Tracing the orthonormal environment records collapses each ket matrix to W W^dag.
-    rho_sa_pre = sum(wk * cols @ cols.conj().T for wk, cols in zip(w_in, branch_kets))
-    rho_f = np.einsum("ikjk->ij", rho_sa_pre.reshape(d, m_dim, d, m_dim))
+    # The error channel in Kraus form: branch i is E_i rho_c E_i^dag, with weight p_i.
+    branches = [e_op @ rho_c @ e_op.conj().T for e_op, _ in scenario.errors]
+    weights = [p for _, p in scenario.errors]
+    rho_f = sum(p * b for p, b in zip(weights, branches))
     s_error = von_neumann_entropy(DensityOperator(space_s, rho_f)).nats
 
     # Observation correlates the apparatus with the error branch.
-    branches = [e_op @ rho_c @ e_op.conj().T for e_op, _ in scenario.errors]
-    weights = [p for _, p in scenario.errors]
     space_sa = TensorSpace.of(("S", d), ("A", m_dim))
     rho_sa = sum(
         p * np.kron(b, np.outer(m, m.conj()))
@@ -411,24 +388,8 @@ def qec_cycle(scenario: QecScenario) -> QecCycleResult:
         recovery_fidelity=fidelity,
         gc_entropy=s_apparatus,
         info_gain=info_gain,
-        pre_trace_entropy=pre_trace_entropy,
+        pre_trace_entropy=von_neumann_entropy(scenario.input_state).nats,
     )
-
-
-def imperfect_erasure_entropy(scenario: QecScenario) -> float:
-    """Erasure entropy of the two-record apparatus: S((|m1><m1| + |m2><m2|)/2).
-
-    Equals binary_entropy((1+a)/2) for overlap a and decreases strictly in a.
-    """
-    if len(scenario.apparatus_states) != 2:
-        raise UnsupportedScenarioError("erasure entropy is defined for exactly two apparatus states")
-    w1, w2 = (w for _, w in scenario.errors)
-    if abs(w1 - w2) > 1e-9:
-        raise InputError(f"apparatus records must carry equal weights, got {w1}, {w2}")
-    m1, m2 = scenario.apparatus_states
-    mix = 0.5 * (np.outer(m1, m1.conj()) + np.outer(m2, m2.conj()))
-    state = DensityOperator.from_matrix(mix)
-    return von_neumann_entropy(state).nats
 
 
 @dataclass(frozen=True)
@@ -442,10 +403,15 @@ def recovery_fidelity_vs_overlap(template: QecScenario, overlaps) -> list[Overla
     """Re-run the two-error cycle across apparatus overlaps.
 
     The returned fidelity column is non-increasing in the overlap and drops
-    below 1 as soon as the records stop being orthogonal.
+    below 1 as soon as the records stop being orthogonal. The erasure entropy
+    is the garbage-can entropy S((|m1><m1| + |m2><m2|)/2) = h((1+a)/2), which
+    needs equally weighted records.
     """
     if len(template.errors) != 2:
         raise InputError("the overlap sweep needs a two-error scenario template")
+    w1, w2 = (w for _, w in template.errors)
+    if abs(w1 - w2) > 1e-9:
+        raise InputError(f"apparatus records must carry equal weights, got {w1}, {w2}")
     rows = []
     for a in overlaps:
         states = equal_overlap_states(2, float(a), dim=template.apparatus_dim)
@@ -460,7 +426,7 @@ def recovery_fidelity_vs_overlap(template: QecScenario, overlaps) -> list[Overla
             OverlapSweepRow(
                 overlap=float(a),
                 fidelity=result.recovery_fidelity,
-                erasure_entropy=imperfect_erasure_entropy(scenario),
+                erasure_entropy=result.gc_entropy,
             )
         )
     return rows

@@ -47,7 +47,6 @@ _SOLVER = {
     "properties": {
         "gap_tol": {"type": "number", "exclusiveMinimum": 0},
         "max_iter": {"type": "integer", "minimum": 1},
-        "seed": {"type": "integer"},
         "max_factor_dim": {"type": "integer", "minimum": 2},
         "restarts": {"type": "integer", "minimum": 1},
         "eoc_max_steps": {"type": "integer", "minimum": 1},

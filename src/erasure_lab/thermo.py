@@ -121,7 +121,8 @@ def erasure_entropy(apparatus: DensityOperator, reservoir: HamiltonianSpec,
     delta_total = float(-np.sum(overlaps * log_q))      # -tr(rho ln omega)
     satisfied = delta_total >= info_gain.nats - LANDAUER_SLACK
     return ErasureReport(
-        delta_app=EntropyValue(max(delta_app, 0.0)),
+        # max keeps its first argument on a tie, so a pure Gibbs state's -0.0 reads +0.0
+        delta_app=EntropyValue(max(0.0, delta_app)),
         delta_res=delta_res,
         delta_total=delta_total,
         info_gain=info_gain,

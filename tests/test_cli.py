@@ -83,6 +83,20 @@ class TestErasureCommand:
         assert code == 2
         assert "non-finite" in err
 
+    def test_pure_gibbs_state_reports_no_negative_zero(self, tmp_path, capsys):
+        # at beta = 1e3 the Gibbs weights are (1, 0) to double precision
+        text = (EXAMPLES / "erasure.json").read_text().replace('"beta": 1.0', '"beta": 1e3')
+        path = tmp_path / "cold.json"
+        path.write_text(text)
+        for fmt in ("text", "json"):
+            code, out, _ = run_cli(["erasure", "--scenario", str(path), "--format", fmt], capsys)
+            assert code == 0
+            assert "-0.0" not in out
+        report = json.loads(out)["report"]
+        assert report["delta_app"]["nats"] == 0.0
+        assert report["landauer_satisfied"] is True
+        assert report["delta_total"] >= report["info_gain"]["nats"]
+
 
 class TestDemonCommand:
     def test_classical_ledger_totals(self, tmp_path, capsys):
@@ -97,6 +111,20 @@ class TestDemonCommand:
         assert len(lines) == 7
         garbage_total = sum(float(line.split(",")[4]) for line in lines[2:])
         assert garbage_total == pytest.approx(LN2, abs=1e-12)
+
+    @pytest.mark.parametrize("p", [0.0, 1.0])
+    def test_certain_outcome_ledger_is_zero(self, p, tmp_path, capsys):
+        scenario = json.loads((EXAMPLES / "demon_classical.json").read_text())
+        scenario["error_probability"] = p
+        path = tmp_path / "certain.json"
+        path.write_text(json.dumps(scenario))
+        code, out, _ = run_cli(["demon", "--scenario", str(path), "--format", "json"], capsys)
+        assert code == 0
+        blob = json.loads(out)
+        assert blob["violations"] == []
+        columns = ("dS_system", "dS_apparatus", "dS_garbage", "dF", "info_gain")
+        assert all(step[c] == 0.0 for step in blob["ledger"]["steps"] for c in columns)
+        assert all(blob["ledger"]["totals"][c] == 0.0 for c in columns)
 
     def test_qec_scenario(self, capsys):
         code, out, _ = run_cli(["demon", "--scenario", str(EXAMPLES / "demon_qec.json"),
@@ -166,6 +194,16 @@ class TestEntanglementCommand:
         assert blob["ere"]["status"] == "iteration-cap"
         assert blob["ere"]["iterations"] <= 4
 
+    def test_solver_seed_exits_2(self, tmp_path, capsys):
+        # the seed is a top-level field; a solver.seed would be silently ignored
+        scenario = json.loads((EXAMPLES / "entanglement.json").read_text())
+        scenario["solver"]["seed"] = 123
+        bad = tmp_path / "seeded.json"
+        bad.write_text(json.dumps(scenario))
+        code, _, err = run_cli(["entanglement", "--scenario", str(bad)], capsys)
+        assert code == 2
+        assert "schema" in err and "seed" in err
+
     def test_dimension_cap_exits_2(self, tmp_path, capsys):
         scenario = json.loads((EXAMPLES / "entanglement.json").read_text())
         scenario["dims"] = [5, 5]
@@ -206,6 +244,40 @@ class TestEntanglementCommand:
         assert blob["ere"]["iterations"] == 1
         assert blob["ere"]["mixture_terms"] == 2
         assert blob["ere"]["final_gap"] <= 1e-12
+
+
+class TestOutFile:
+    """What --out receives: the JSON report, or the CSV for demon."""
+
+    @pytest.mark.parametrize("command, example", [("erasure", "erasure"),
+                                                  ("entanglement", "entanglement")])
+    def test_json_report_matches_stdout(self, command, example, tmp_path, capsys):
+        out_path = tmp_path / "report.json"
+        code, out, _ = run_cli([command, "--scenario", str(EXAMPLES / f"{example}.json"),
+                                "--format", "json", "--out", str(out_path)], capsys)
+        assert code == 0
+        assert json.loads(out_path.read_text()) == json.loads(out)
+
+    @pytest.mark.parametrize("example", ["demon_classical", "demon_qec", "demon_sweep"])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_demon_csv_matches_text_mode(self, example, fmt, tmp_path, capsys):
+        scenario = str(EXAMPLES / f"{example}.json")
+        code, shown, _ = run_cli(["demon", "--scenario", scenario], capsys)
+        assert code == 0
+        header, body = shown.split("\n", 1)
+        assert header == "# erasure-lab demon seed=7"
+        out_path = tmp_path / "ledger.csv"
+        code, out, _ = run_cli(["demon", "--scenario", scenario, "--format", fmt,
+                                "--out", str(out_path)], capsys)
+        assert code == 0
+        csv_text = out_path.read_text()
+        assert csv_text.startswith("# seed=7\n") and body.startswith(csv_text)
+        if fmt == "text":
+            assert f"written to {out_path}\n" in out
+            assert csv_text not in out
+        else:
+            assert "written to" not in out
+            json.loads(out)
 
 
 class TestSelftestCommand:

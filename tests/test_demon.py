@@ -10,7 +10,6 @@ from erasure_lab.demon import (
     QecScenario,
     classical_cycle,
     equal_overlap_states,
-    imperfect_erasure_entropy,
     qec_cycle,
     recovery_fidelity_vs_overlap,
     three_qubit_bit_flip_scenario,
@@ -286,38 +285,35 @@ class TestScenarioValidation:
 
 
 class TestImperfectErasure:
+    """The sweep's erasure-entropy column: S((|m1><m1| + |m2><m2|)/2) = h((1+a)/2)."""
+
+    KET = np.array([1.0, 1.0]) / math.sqrt(2)
+
+    def erasure_entropies(self, overlaps, weights=(0.5, 0.5)):
+        template = three_qubit_bit_flip_scenario(self.KET, weights=weights)
+        return [row.erasure_entropy for row in recovery_fidelity_vs_overlap(template, overlaps)]
+
     def test_orthogonal_records(self):
-        ket = np.array([1.0, 1.0]) / math.sqrt(2)
-        scenario = three_qubit_bit_flip_scenario(ket, weights=(0.5, 0.5), overlap=0.0)
-        assert imperfect_erasure_entropy(scenario) == pytest.approx(LN2, abs=1e-9)
+        assert self.erasure_entropies([0.0])[0] == pytest.approx(LN2, abs=1e-9)
 
     def test_identical_records(self):
-        ket = np.array([1.0, 1.0]) / math.sqrt(2)
-        scenario = three_qubit_bit_flip_scenario(ket, weights=(0.5, 0.5), overlap=1.0)
-        assert imperfect_erasure_entropy(scenario) == pytest.approx(0.0, abs=1e-9)
+        assert self.erasure_entropies([1.0])[0] == pytest.approx(0.0, abs=1e-9)
 
     def test_half_overlap(self):
-        ket = np.array([1.0, 1.0]) / math.sqrt(2)
-        scenario = three_qubit_bit_flip_scenario(ket, weights=(0.5, 0.5), overlap=0.5)
-        assert imperfect_erasure_entropy(scenario) == pytest.approx(h_bin(0.75), abs=1e-9)
+        assert self.erasure_entropies([0.5])[0] == pytest.approx(h_bin(0.75), abs=1e-9)
 
     def test_formula_across_grid(self):
-        ket = np.array([1.0, 1.0]) / math.sqrt(2)
-        for a in np.linspace(0.0, 1.0, 11):
-            scenario = three_qubit_bit_flip_scenario(ket, weights=(0.5, 0.5), overlap=float(a))
-            expected = h_bin((1 + a) / 2)
-            assert imperfect_erasure_entropy(scenario) == pytest.approx(expected, abs=1e-9)
+        grid = np.linspace(0.0, 1.0, 11)
+        for a, entropy in zip(grid, self.erasure_entropies(grid)):
+            assert entropy == pytest.approx(h_bin((1 + a) / 2), abs=1e-9)
 
     def test_more_than_two_records_unsupported(self):
-        ket = np.array([1.0, 1.0]) / math.sqrt(2)
-        with pytest.raises(UnsupportedScenarioError):
-            imperfect_erasure_entropy(three_qubit_bit_flip_scenario(ket))
+        with pytest.raises(InputError):
+            self.erasure_entropies([0.0], weights=(0.25, 0.25, 0.25, 0.25))
 
     def test_unequal_weights_rejected(self):
-        ket = np.array([1.0, 1.0]) / math.sqrt(2)
-        scenario = three_qubit_bit_flip_scenario(ket, weights=(0.7, 0.3))
         with pytest.raises(InputError):
-            imperfect_erasure_entropy(scenario)
+            self.erasure_entropies([0.0], weights=(0.7, 0.3))
 
 
 class TestOverlapSweep:

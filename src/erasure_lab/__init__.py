@@ -17,7 +17,6 @@ from .entanglement import (
     SchmidtForm,
     SeparableMixture,
     SolverOptions,
-    closest_product_state,
     entanglement_of_creation,
     entropy_of_entanglement,
     purification_bound,
@@ -30,7 +29,6 @@ from .entanglement import (
 from .entropy import (
     EntropyValue,
     binary_entropy,
-    cross_term,
     mutual_information,
     relative_entropy,
     shannon_entropy,
@@ -42,7 +40,6 @@ from .linalg import (
     TensorSpace,
     hermitian_eig,
     partial_trace,
-    tensor_product,
 )
 from .thermo import (
     CollisionTrace,

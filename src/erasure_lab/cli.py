@@ -3,19 +3,18 @@
 Scenario files are JSON, validated against ``scenario.SCHEMAS``. Two output
 formats: ``--format json`` prints strict JSON (no NaN or Infinity tokens),
 ``--format text`` (the default) human-readable tables; ledgers and traces are
-written as CSV. Exit codes: 0 success, 2 malformed scenario (including
-non-finite numbers), 3 numerical violation (which would indicate a bug, not
-bad input).
+written as CSV. Exit codes: 0 success, 2 malformed scenario or option
+(including non-finite numbers and out-of-range solver settings or seeds), 3
+numerical violation (which would indicate a bug, not bad input).
 
-The seed is resolved as: ERASURE_LAB_SEED environment variable, then --seed,
-then the scenario's seed field, then 0; it is recorded in every report.
+The seed is --seed, else the scenario's seed field, else 0; it must be
+nonnegative and is recorded in every report.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import scenario as scenario_mod
@@ -35,17 +34,10 @@ OK, USAGE_ERROR, VIOLATION = 0, 2, 3
 
 
 def _resolve_seed(args, payload: dict | None) -> int:
-    env = os.environ.get("ERASURE_LAB_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ScenarioError(f"ERASURE_LAB_SEED must be an integer, got {env!r}") from exc
-    if args.seed is not None:
-        return args.seed
-    if payload is not None and "seed" in payload:
-        return int(payload["seed"])
-    return 0
+    seed = args.seed if args.seed is not None else int((payload or {}).get("seed", 0))
+    if seed < 0:
+        raise InputError(f"seed must be nonnegative, got {seed}")
+    return seed
 
 
 def _write(path: str | None, text: str) -> None:
@@ -73,8 +65,9 @@ def _emit(args, seed: int, command: str, json_report: dict, text_report: str,
 
 
 def _csv_shown(args, noun: str, csv_block: str) -> str:
-    """Text mode shows a demon CSV in place, or names the ``--out`` file it went to."""
-    return f"{noun} written to {args.out}\n" if args.out else csv_block
+    """Text mode shows a demon CSV in place, then a blank line, or names the
+    ``--out`` file it went to."""
+    return f"{noun} written to {args.out}\n" if args.out else csv_block + "\n"
 
 
 def _violations(problems: list[str]) -> str:
@@ -103,7 +96,7 @@ def _demon_classical(args, payload, seed) -> int:
     ledger = classical_cycle(payload["error_probability"], payload.get("temperature", 1.0))
     problems = ledger.check_cycle()
     csv_text = f"# seed={seed}\n" + ledger.to_csv()
-    text = _csv_shown(args, "ledger", csv_text + "\n") + _violations(problems)
+    text = _csv_shown(args, "ledger", csv_text) + _violations(problems)
     _emit(args, seed, "demon", {"ledger": ledger.to_json(), "violations": problems}, text, csv_text)
     return VIOLATION if problems else OK
 
@@ -135,7 +128,7 @@ def _demon_sweep(args, payload, seed) -> int:
     lines += [f"{r.overlap:.6g},{r.fidelity:.12g},{r.erasure_entropy:.12g}" for r in rows]
     csv_text = "\n".join(lines) + "\n"
     monotone = all(rows[i + 1].fidelity <= rows[i].fidelity + 1e-9 for i in range(len(rows) - 1))
-    text = _csv_shown(args, "sweep", csv_text + "\n")
+    text = _csv_shown(args, "sweep", csv_text)
     if not monotone:
         text += "VIOLATION: fidelity column is not non-increasing\n"
     report = {"fidelity_monotone": monotone,
@@ -168,16 +161,9 @@ def cmd_entanglement(args) -> int:
     payload = load_scenario(args.scenario, "entanglement")
     seed = _resolve_seed(args, payload)
     rho = scenario_mod.build_entanglement_state(payload)
-    solver = payload.get("solver", {})
-    defaults = SolverOptions()
-    opts = SolverOptions(
-        gap_tol=args.gap_tol if args.gap_tol is not None else solver.get("gap_tol", defaults.gap_tol),
-        max_iter=args.max_iter if args.max_iter is not None else solver.get("max_iter", defaults.max_iter),
-        seed=seed,
-        max_factor_dim=solver.get("max_factor_dim", defaults.max_factor_dim),
-        eoc_restarts=solver.get("restarts", defaults.eoc_restarts),
-        eoc_max_steps=solver.get("eoc_max_steps", defaults.eoc_max_steps),
-    )
+    flags = {"gap_tol": args.gap_tol, "max_iter": args.max_iter}
+    settings = {**payload.get("solver", {}), **{k: v for k, v in flags.items() if v is not None}}
+    opts = SolverOptions(seed=seed, **settings)  # the solver schema's keys are its field names
     ere = relative_entropy_of_entanglement(rho, opts)
     n_target = payload.get("schmidt_target", 2)
     bounds = purification_report(rho, n_target, ere)
@@ -230,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--scenario", required=True, help="path to a JSON scenario file")
         p.add_argument("--out", help="path for the machine-readable report")
         p.add_argument("--seed", type=int, default=None,
-                       help="PRNG seed (ERASURE_LAB_SEED overrides)")
+                       help="nonnegative PRNG seed (default: the scenario's seed, else 0)")
         p.add_argument("--format", choices=("json", "text"), default="text")
 
     p = sub.add_parser("erasure", help="reservoir erasure entropy report")

@@ -251,14 +251,9 @@ class QecScenario:
 @dataclass(frozen=True)
 class QecCycleResult:
     ledger: EntropyLedger
-    recovered_state: DensityOperator
     recovery_fidelity: float
     gc_entropy: float
     info_gain: float
-    # Entropy of the full system+apparatus+environment state before the trace.
-    # The dilation psi -> sum_i sqrt(p_i) E_i V psi (x) |e_i> is an isometry, so
-    # this is S(input_state): zero for a pure input.
-    pre_trace_entropy: float
 
 
 def uhlmann_fidelity(rho: DensityOperator, sigma: DensityOperator) -> float:
@@ -384,11 +379,9 @@ def qec_cycle(scenario: QecScenario) -> QecCycleResult:
     )
     return QecCycleResult(
         ledger=EntropyLedger(steps),
-        recovered_state=recovered,
         recovery_fidelity=fidelity,
         gc_entropy=s_apparatus,
         info_gain=info_gain,
-        pre_trace_entropy=von_neumann_entropy(scenario.input_state).nats,
     )
 
 

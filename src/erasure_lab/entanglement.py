@@ -34,7 +34,7 @@ import numpy as np
 from .entropy import EntropyValue, binary_entropy, cross_term_eig, shannon_entropy, von_neumann_entropy
 from .errors import InputError
 # hermitian_eig is not called here; the benchmark tracer patches it by name.
-from .linalg import EIG_FLOOR, DensityOperator, hermitian_eig, require_hermitian  # noqa: F401
+from .linalg import EIG_FLOOR, DensityOperator, hermitian_eig  # noqa: F401
 
 __all__ = [
     "SolverOptions",
@@ -45,7 +45,6 @@ __all__ = [
     "PurificationReport",
     "schmidt_decompose",
     "entropy_of_entanglement",
-    "closest_product_state",
     "relative_entropy_of_entanglement",
     "entanglement_of_creation",
     "purification_bound",
@@ -56,19 +55,27 @@ __all__ = [
 
 # Schmidt coefficients at or below this fraction of the largest are rounding.
 _SCHMIDT_CUTOFF = 1e-12
+# E_RE and E_C refuse a factor larger than this.
+_MAX_FACTOR_DIM = 4
 
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """The solver settings that scenario files and the CLI choose; every other
+    """Solver settings: scenario files and the CLI choose gap_tol, max_iter and
+    seed, and library callers may also bound the E_C descent; every other
     numerical setting is one of the module constants below."""
 
     gap_tol: float = 1e-5
     max_iter: int = 2000
     seed: int = 0
-    max_factor_dim: int = 4
     eoc_restarts: int = 32
     eoc_max_steps: int = 5000
+
+    def __post_init__(self):
+        if not 0.0 < self.gap_tol < math.inf:  # also rejects NaN
+            raise InputError(f"gap_tol must be positive and finite, got {self.gap_tol}")
+        if self.max_iter < 1:
+            raise InputError(f"max_iter must be at least 1, got {self.max_iter}")
 
 
 # linear oracle (closest product state)
@@ -99,7 +106,7 @@ def _bipartite_dims(rho: DensityOperator, max_factor_dim: int | None = None) -> 
     d_a, d_b = rho.space.dims
     if max_factor_dim is not None and max(d_a, d_b) > max_factor_dim:
         raise InputError(
-            f"factor dimensions {d_a}x{d_b} exceed the configured cap {max_factor_dim}"
+            f"factor dimensions {d_a}x{d_b} exceed the cap {max_factor_dim}"
         )
     return d_a, d_b
 
@@ -204,24 +211,7 @@ class SeparableMixture:
 # ---------------------------------------------------------------------------
 
 def _top_eigvec_batch(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Largest eigenvalue and eigenvector per matrix in a (..., d, d) stack.
-
-    The 2x2 case is closed form (v = [lam - c, b], falling back to e1 when
-    that degenerates); larger blocks go through the batched eigensolver.
-    """
-    if mats.shape[-1] == 2:
-        a = mats[..., 0, 0].real
-        c = mats[..., 1, 1].real
-        b = (mats[..., 1, 0] + np.conj(mats[..., 0, 1])) / 2.0
-        lam = (a + c) / 2.0 + np.sqrt(((a - c) / 2.0) ** 2 + np.abs(b) ** 2)
-        v0 = (lam - c).astype(complex)
-        v1 = b
-        norm = np.sqrt(np.abs(v0) ** 2 + np.abs(v1) ** 2)
-        degenerate = norm <= 1e-30 * np.maximum(1.0, np.abs(lam))
-        v0 = np.where(degenerate, 0.0, v0)
-        v1 = np.where(degenerate, 1.0, v1)
-        norm = np.where(degenerate, 1.0, norm)
-        return lam, np.stack([v0 / norm, v1 / norm], axis=-1)
+    """Largest eigenvalue and eigenvector per matrix in a (..., d, d) stack."""
     mats = (mats + np.conj(np.swapaxes(mats, -1, -2))) / 2.0
     w, v = np.linalg.eigh(mats)
     return w[..., -1], v[..., :, -1]
@@ -262,20 +252,6 @@ def _product_maximize(g: np.ndarray, dims: tuple[int, int],
     return a[best], b[best], float(values[best])
 
 
-def closest_product_state(g, dims: tuple[int, int],
-                          opts: SolverOptions | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Product unit vectors (ket_a, ket_b) locally maximizing <a,b|G|a,b>."""
-    opts = opts or SolverOptions()
-    g = np.asarray(g, dtype=complex)
-    d_a, d_b = dims
-    if g.shape != (d_a * d_b, d_a * d_b):
-        raise InputError(f"matrix shape {g.shape} does not match dims {dims}")
-    require_hermitian(g)
-    gen = np.random.default_rng(opts.seed)
-    ket_a, ket_b, _ = _product_maximize(g, dims, gen)
-    return ket_a, ket_b
-
-
 # ---------------------------------------------------------------------------
 # Relative entropy of entanglement (PPT barrier, Frank-Wolfe on larger factors)
 # ---------------------------------------------------------------------------
@@ -286,7 +262,7 @@ class EreResult:
 
     value: float
     # the separable omega with value = S(rho || omega) as product terms; None
-    # from ``exact`` and for mixed states on 2x3 and 3x2 (omega PPT, not split)
+    # for mixed states on 2x3 and 3x2 (omega PPT, not split)
     argmin: SeparableMixture | None
     convergence: tuple[tuple[int, float, float], ...]  # (iteration, objective, gap)
     # "converged": the last gap is a bound on value - E_RE and is within
@@ -294,12 +270,6 @@ class EreResult:
     # objective stopped improving (Frank-Wolfe) or a centring step failed
     # (barrier), so the last gap certifies nothing.
     status: str
-
-    @staticmethod
-    def exact(value: float) -> "EreResult":
-        """Wrap a value known from elsewhere (gap 0, no argmin), not a pure state's."""
-        return EreResult(value=float(value), argmin=None,
-                         convergence=((0, float(value), 0.0),), status="converged")
 
     def convergence_csv(self) -> str:
         lines = ["iteration,objective,gap"]
@@ -403,7 +373,7 @@ def relative_entropy_of_entanglement(rho: DensityOperator,
     on 2x3 and 3x2, where it is None.
     """
     opts = opts or SolverOptions()
-    dims = _bipartite_dims(rho, opts.max_factor_dim)
+    dims = _bipartite_dims(rho, _MAX_FACTOR_DIM)
     s_rho = von_neumann_entropy(rho).nats
     if np.count_nonzero(rho.eigenvalues > EIG_FLOOR) == 1:
         result = _schmidt_ere(rho.matrix, s_rho, rho.eigenvectors[:, 0], dims)
@@ -811,7 +781,7 @@ def entanglement_of_creation(rho: DensityOperator,
     step cap intervened ("step-cap").
     """
     opts = opts or SolverOptions()
-    dims = _bipartite_dims(rho, opts.max_factor_dim)
+    dims = _bipartite_dims(rho, _MAX_FACTOR_DIM)
     keep = rho.eigenvalues > EIG_FLOOR
     lam, vecs = rho.eigenvalues[keep], rho.eigenvectors[:, keep]
     r = int(lam.size)
@@ -888,7 +858,7 @@ def _eoc_descent(amplitudes: np.ndarray, dims: tuple[int, int], k: int,
 # Purification bounds
 # ---------------------------------------------------------------------------
 
-def purification_bound(rho: DensityOperator, n_target: int, ere: EreResult) -> float:
+def purification_bound(n_target: int, ere: EreResult) -> float:
     """Ensemble bound min(1, E_RE / ln N) on the maximally-entangled fraction."""
     if n_target < 2:
         raise InputError(f"target Schmidt rank must be at least 2, got {n_target}")
@@ -942,7 +912,7 @@ def purification_report(rho: DensityOperator, n_target: int, ere: EreResult) -> 
     pure_qubits = _bipartite_dims(rho) == (2, 2) and rho.eigenvalues[0] > 1.0 - 1e-9
     return PurificationReport(
         n_target=n_target,
-        ensemble_bound=purification_bound(rho, n_target, ere),
+        ensemble_bound=purification_bound(n_target, ere),
         single_shot=single_shot_probability(rho.eigenvectors[:, 0]) if pure_qubits else None,
         schumacher=schumacher_rate(rho, n_target),
     )

@@ -17,18 +17,14 @@ from .errors import InputError
 from .linalg import EIG_FLOOR, PSD_TOL, DensityOperator, hermitian_eig  # noqa: F401
 
 __all__ = [
-    "LN2",
     "EntropyValue",
     "von_neumann_entropy",
     "relative_entropy",
-    "cross_term",
     "cross_term_eig",
     "mutual_information",
     "shannon_entropy",
     "binary_entropy",
 ]
-
-LN2 = math.log(2.0)
 
 # Eigenvalues of omega at or below this fraction of probability mass count as
 # kernel; rho leaking more than this onto the kernel is a support violation.
@@ -48,10 +44,6 @@ class EntropyValue:
     @property
     def infinite(self) -> bool:
         return math.isinf(self.nats)
-
-    @property
-    def bits(self) -> float:
-        return self.nats / LN2
 
     def to_json(self) -> dict:
         if self.infinite:
@@ -96,22 +88,11 @@ def cross_term_eig(rho: np.ndarray, w: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.where((mass * kernel).sum(axis=-1) > SUPPORT_OVERLAP_TOL, math.inf, value)
 
 
-def _cross_term_nats(rho: DensityOperator, omega: DensityOperator) -> float:
-    """-tr(rho ln omega); math.inf when rho leaks outside omega's support."""
-    if rho.dim != omega.dim:
-        raise InputError(f"dimension mismatch: {rho.dim} vs {omega.dim}")
-    return float(cross_term_eig(rho.matrix, omega.eigenvalues, omega.eigenvectors))
-
-
-def cross_term(rho: DensityOperator, omega: DensityOperator) -> EntropyValue:
-    """Erasure cost term -tr(rho ln omega) in nats."""
-    value = _cross_term_nats(rho, omega)
-    return INFINITE if math.isinf(value) else _clamped(value)
-
-
 def relative_entropy(rho: DensityOperator, omega: DensityOperator) -> EntropyValue:
     """Quantum relative entropy S(rho || omega) = -tr(rho ln omega) - S(rho)."""
-    value = _cross_term_nats(rho, omega)
+    if rho.dim != omega.dim:
+        raise InputError(f"dimension mismatch: {rho.dim} vs {omega.dim}")
+    value = float(cross_term_eig(rho.matrix, omega.eigenvalues, omega.eigenvectors))
     if math.isinf(value):
         return INFINITE
     return _clamped(value - von_neumann_entropy(rho).nats)

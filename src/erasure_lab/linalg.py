@@ -20,7 +20,6 @@ from .errors import InputError
 __all__ = [
     "TensorSpace",
     "DensityOperator",
-    "tensor_product",
     "partial_trace",
     "hermitian_eig",
     "matrix_from_json",
@@ -99,11 +98,6 @@ class TensorSpace:
         return TensorSpace(tuple((lab, d) for lab, d in self.factors if lab in keep))
 
 
-def tensor_product(a, b) -> np.ndarray:
-    """Kronecker product with the first argument owning the most significant index."""
-    return np.kron(_as_square_array(a), _as_square_array(b))
-
-
 @dataclass(frozen=True)
 class DensityOperator:
     """Positive-semidefinite unit-trace operator over a labeled tensor space.
@@ -151,11 +145,6 @@ class DensityOperator:
             raise InputError(f"ket must be unit-norm, got |v| = {n}")
         v = v / n
         return DensityOperator.from_matrix(np.outer(v, v.conj()), space)
-
-    @staticmethod
-    def maximally_mixed(space: TensorSpace) -> "DensityOperator":
-        d = space.dim
-        return DensityOperator(space, np.eye(d, dtype=complex) / d)
 
     @property
     def dim(self) -> int:

@@ -1,4 +1,4 @@
-"""Seeded random generators for states, Hamiltonians and unitaries.
+"""Seeded random generators for states and Hamiltonians.
 
 Used by the self-test command and the test suite; all functions take an
 explicit ``numpy.random.Generator`` so runs are reproducible.
@@ -15,7 +15,6 @@ __all__ = [
     "random_ket",
     "random_density",
     "random_hermitian",
-    "random_unitary",
 ]
 
 
@@ -41,9 +40,3 @@ def random_density(gen: np.random.Generator, dim: int, rank: int | None = None,
 def random_hermitian(gen: np.random.Generator, dim: int, scale: float = 1.0) -> np.ndarray:
     g = gen.normal(size=(dim, dim)) + 1j * gen.normal(size=(dim, dim))
     return scale * (g + g.conj().T) / 2.0
-
-
-def random_unitary(gen: np.random.Generator, dim: int) -> np.ndarray:
-    g = gen.normal(size=(dim, dim)) + 1j * gen.normal(size=(dim, dim))
-    q, r = np.linalg.qr(g)
-    return q * (np.diag(r) / np.abs(np.diag(r)))

@@ -47,9 +47,6 @@ _SOLVER = {
     "properties": {
         "gap_tol": {"type": "number", "exclusiveMinimum": 0},
         "max_iter": {"type": "integer", "minimum": 1},
-        "max_factor_dim": {"type": "integer", "minimum": 2},
-        "restarts": {"type": "integer", "minimum": 1},
-        "eoc_max_steps": {"type": "integer", "minimum": 1},
     },
     "additionalProperties": False,
 }
@@ -99,7 +96,6 @@ SCHEMAS = {
             "input_state": _MATRIX,
             "input_ket": _VECTOR,
             "apparatus_overlap": {"type": "number", "minimum": 0, "maximum": 1},
-            "apparatus_states": {"type": "array", "items": _VECTOR},
             "overlaps": {
                 "type": "array",
                 "items": {"type": "number", "minimum": 0, "maximum": 1},
@@ -194,11 +190,7 @@ def build_qec_scenario(payload: dict) -> QecScenario:
         else:
             raise ScenarioError("qec payload needs input_state or input_ket")
         errors = [(matrix_from_json(e["matrix"]), e["weight"]) for e in payload["errors"]]
-        if "apparatus_states" in payload:
-            states = [vector_from_json(v) for v in payload["apparatus_states"]]
-        else:
-            overlap = payload.get("apparatus_overlap", 0.0)
-            states = equal_overlap_states(len(errors), overlap)
+        states = equal_overlap_states(len(errors), payload.get("apparatus_overlap", 0.0))
         return QecScenario(
             codewords=tuple(codewords),
             input_state=input_state,

@@ -17,6 +17,9 @@ from .linalg import DensityOperator, TensorSpace
 
 __all__ = ["FamilyResult", "run_selftest"]
 
+# random inputs per Landauer and free-energy family
+_CASES = 200
+
 
 @dataclass(frozen=True)
 class FamilyResult:
@@ -115,12 +118,12 @@ def _thermalization_family(gen: np.random.Generator) -> FamilyResult:
     )
 
 
-def run_selftest(seed: int, cases: int = 200) -> tuple[str, bool]:
+def run_selftest(seed: int) -> tuple[str, bool]:
     """Run every invariant family; returns (report text, all passed)."""
     gen = sampling.rng(seed)
     results = [
-        _landauer_family(gen, cases),
-        _free_energy_family(gen, cases),
+        _landauer_family(gen, _CASES),
+        _free_energy_family(gen, _CASES),
         _ledger_family(gen),
         _pure_collapse_family(gen, 3),
         _thermalization_family(gen),

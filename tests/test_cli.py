@@ -24,6 +24,17 @@ def bell_diagonal_scenario(weights):
     return scenario
 
 
+def noisy_ket_scenario(b_sq=0.2, noise=0.1):
+    """A two-qubit scenario for (1 - noise)|psi><psi| + noise I/4 with
+    psi = sqrt(1 - b_sq)|00> + sqrt(b_sq)|11>: entangled and not Bell-diagonal
+    in any local frame, so no closed form certifies its E_RE and the barrier runs."""
+    scenario = json.loads((EXAMPLES / "entanglement.json").read_text())
+    psi = np.array([math.sqrt(1.0 - b_sq), 0.0, 0.0, math.sqrt(b_sq)])
+    matrix = (1.0 - noise) * np.outer(psi, psi) + noise * np.eye(4) / 4.0
+    scenario["state"] = {"dim": 4, "re": matrix.tolist()}
+    return scenario
+
+
 def run_cli(args, capsys):
     code = main(args)
     captured = capsys.readouterr()
@@ -182,9 +193,10 @@ class TestEntanglementCommand:
         assert trace[1] == "iteration,objective,gap"
 
     def test_cli_overrides_solver_options(self, tmp_path, capsys):
-        # a mixed state: a pure one is exact without the barrier
+        # an entangled state that no closed form certifies: pure, separable and
+        # Bell-diagonal states are exact without the barrier
         path = tmp_path / "mixed.json"
-        path.write_text(json.dumps(bell_diagonal_scenario((0.8, 0.1, 0.05, 0.05))))
+        path.write_text(json.dumps(noisy_ket_scenario()))
         code, out, _ = run_cli(
             ["entanglement", "--scenario", str(path),
              "--format", "json", "--max-iter", "3", "--gap-tol", "1e-12"], capsys)
@@ -212,6 +224,41 @@ class TestEntanglementCommand:
         code, _, err = run_cli(["entanglement", "--scenario", str(bad)], capsys)
         assert code == 2
         assert "schema" in err and key in err
+
+    def test_integral_float_max_iter_runs(self, tmp_path, capsys):
+        # JSON Schema counts 4000.0 as an integer; the barrier's range() needs an int
+        scenario = noisy_ket_scenario()
+        scenario["solver"]["max_iter"] = 4000.0
+        path = tmp_path / "float_iter.json"
+        path.write_text(json.dumps(scenario))
+        code, out, _ = run_cli(["entanglement", "--scenario", str(path), "--format", "json"], capsys)
+        assert code == 0
+        blob = json.loads(out)
+        assert blob["ere"]["status"] == "converged"
+        assert blob["ere"]["iterations"] > 1
+
+    def test_integral_float_schmidt_target_prints_an_integer(self, tmp_path, capsys):
+        scenario = noisy_ket_scenario()
+        scenario["schmidt_target"] = 2.0
+        path = tmp_path / "float_target.json"
+        path.write_text(json.dumps(scenario))
+        code, out, _ = run_cli(["entanglement", "--scenario", str(path), "--format", "json"], capsys)
+        assert code == 0
+        assert '"N": 2,' in out
+        assert json.loads(out)["purification"]["N"] == 2
+
+    @pytest.mark.parametrize("field, value", [("max_iter", 4000.5), ("schmidt_target", 2.5)])
+    def test_non_integral_float_exits_2(self, field, value, tmp_path, capsys):
+        scenario = noisy_ket_scenario()
+        if field == "max_iter":
+            scenario["solver"][field] = value
+        else:
+            scenario[field] = value
+        path = tmp_path / "fractional.json"
+        path.write_text(json.dumps(scenario))
+        code, out, err = run_cli(["entanglement", "--scenario", str(path)], capsys)
+        assert code == 2
+        assert out == "" and "schema" in err
 
     def test_dimension_cap_exits_2(self, tmp_path, capsys):
         scenario = json.loads((EXAMPLES / "entanglement.json").read_text())

@@ -22,13 +22,13 @@ from erasure_lab.entropy import relative_entropy, von_neumann_entropy
 from erasure_lab.errors import InputError
 from erasure_lab.linalg import DensityOperator, TensorSpace
 from erasure_lab.sampling import random_density, random_ket, rng
-from helpers import assemble, random_product_terms, random_unitary, reconstruct
+from helpers import assemble, draw_matrix, random_product_terms, random_unitary, reconstruct
 
 LN2 = math.log(2)
 SPACE22 = TensorSpace.bipartite(2, 2)
-# Rounding allowance where a pure state's closed-form E_RE, its entropy of
-# entanglement and its certifying gap all sit at the 1e-14 level.
-PURE_STATE_ROUNDING = 1e-13
+# Rounding allowance where a closed-form E_RE, the exact value it is checked
+# against and its certifying gap differ by rounding only (1e-15 to 1e-14).
+CLOSED_FORM_ROUNDING = 1e-13
 RNG = rng(501)
 
 
@@ -91,6 +91,26 @@ def bell_diagonal(weights):
     return sum(w * np.outer(b, b) for w, b in zip(weights, BELL_BASIS))
 
 
+# the magic basis Phi+, i Phi-, i Psi+, Psi- as columns: real unit combinations
+# of its columns are the maximally entangled kets up to phase
+MAGIC_BASIS = BELL_BASIS.T * np.array([1.0, 1j, 1j, 1.0])
+
+
+def entangled_fraction(matrix):
+    """max <Phi|rho|Phi> over maximally entangled Phi (Bennett et al. 1996)."""
+    return float(np.linalg.eigvalsh((MAGIC_BASIS.conj().T @ matrix @ MAGIC_BASIS).real)[-1])
+
+
+def min_pt_eigenvalue(matrix, dims=(2, 2)):
+    d_a, d_b = dims
+    pt = matrix.reshape(d_a, d_b, d_a, d_b).transpose(0, 3, 2, 1).reshape(d_a * d_b, d_a * d_b)
+    return float(np.linalg.eigvalsh(pt)[0])
+
+
+def werner(p):
+    return p * np.outer(bell_ket(), bell_ket().conj()) + (1 - p) * np.eye(4) / 4
+
+
 def bell_diagonal_ere(weights):
     """Vedral & Plenio: ln 2 - h(lambda_max) when lambda_max >= 1/2, else 0."""
     top = max(weights)
@@ -101,6 +121,19 @@ def embed_two_qubit(matrix, d_b=3):
     """Carry a two-qubit state into 2 x d_b through the local isometry |j> -> |j> on B."""
     iso = np.kron(np.eye(2), np.eye(d_b)[:, :2])
     return DensityOperator.from_matrix(iso @ matrix @ iso.T, TensorSpace.bipartite(2, d_b))
+
+
+def noisy_ket(b_sq, noise):
+    """(1 - noise)|psi><psi| + noise I/4 for psi = sqrt(1 - b_sq)|00> + sqrt(b_sq)|11>:
+    entangled for small noise, and not Bell-diagonal in any local frame."""
+    psi = two_qubit_pure(b_sq).real
+    return (1.0 - noise) * np.outer(psi, psi) + noise * np.eye(4) / 4.0
+
+
+def local_frame(matrix, gen):
+    """The two-qubit state (U_A x U_B) rho (U_A x U_B)^dag for Haar-random U_A, U_B."""
+    u = np.kron(random_unitary(gen, 2), random_unitary(gen, 2))
+    return DensityOperator.from_matrix(u @ matrix @ u.conj().T, SPACE22)
 
 
 def random_two_qubit_mixed(gen, rank=4):
@@ -333,14 +366,15 @@ class TestRelativeEntropyOfEntanglement:
             exact = entropy_of_entanglement(psi, (2, 2)).nats
             assert result.value == pytest.approx(exact, abs=1e-6)
             # both sides are at rounding level for a pure state
-            assert -1e-12 <= result.value - exact <= result.convergence[-1][2] + PURE_STATE_ROUNDING
+            assert -1e-12 <= result.value - exact <= result.convergence[-1][2] + CLOSED_FORM_ROUNDING
             check = relative_entropy(rho, assemble(result.argmin)).nats
             assert check == pytest.approx(result.value, abs=1e-9)
             assert len(result.argmin.terms) <= 4
 
     def test_iteration_cap_counts_centring_steps(self):
-        # a mixed state: a pure one is exact without the barrier
-        rho = DensityOperator.from_matrix(bell_diagonal((0.8, 0.1, 0.05, 0.05)), SPACE22)
+        # an entangled state that no closed form certifies: pure, separable and
+        # Bell-diagonal states are exact without the barrier
+        rho = DensityOperator.from_matrix(noisy_ket(0.2, 0.1), SPACE22)
         result = relative_entropy_of_entanglement(rho, SolverOptions(max_iter=3, gap_tol=1e-12))
         assert result.status == "iteration-cap"
         assert len(result.convergence) == 4
@@ -690,6 +724,23 @@ class TestBarrierWork:
         assert linalg.calls["eigvalsh"] <= 2 * evaluations / 3
         assert linalg.calls["solve"] <= 2 * solves / 3
 
+    @pytest.mark.parametrize("make_rho", [
+        lambda: DensityOperator.from_matrix(bell_diagonal((0.8, 0.1, 0.05, 0.05)), SPACE22),
+        lambda: local_frame(bell_diagonal((0.1, 0.6, 0.2, 0.1)), rng(67)),
+        lambda: local_frame(bell_diagonal((0.0, 0.3, 0.0, 0.7)), rng(67)),
+        lambda: DensityOperator.from_matrix(werner(0.2), SPACE22),
+        lambda: assemble(SeparableMixture(tuple(random_product_terms(rng(68), 2, 3, 4)))),
+    ], ids=["bell-diagonal", "bell-diagonal-in-a-frame", "rank-two-bell-diagonal-in-a-frame",
+            "werner-0.2", "2x3-separable"])
+    def test_closed_forms_make_no_newton_solve(self, monkeypatch, make_rho):
+        rho = make_rho()
+        linalg = _CountingLinalg()
+        monkeypatch.setattr(entanglement, "np", _NumpyWithCountingLinalg(linalg))
+        result = relative_entropy_of_entanglement(rho)
+        assert result.status == "converged"
+        assert len(result.convergence) == 1
+        assert linalg.calls.get("solve", 0) == 0
+
 
     @pytest.mark.parametrize("weights", RANK_TWO_BELL_WEIGHTS)
     def test_small_gap_tol_stops_at_the_rounding_floor(self, monkeypatch, weights):
@@ -787,10 +838,11 @@ class TestPureStateEdges:
         assert [p for p, _, _ in result.argmin.terms] == pytest.approx([1.0 / d] * d, abs=1e-15)
 
     def test_near_pure_state_falls_through_to_the_barrier(self):
-        # rank one to EIG_FLOOR, but its entropic gap is 2.7e-11: exact at
-        # the default gap_tol, handed to the barrier untouched at 1e-12
-        eps = 3.6e-12
-        m = (1.0 - eps) * np.diag([1.0, 0.0, 0.0, 0.0]) + eps * np.eye(4) / 4
+        # rank one to EIG_FLOOR and entangled by a Schmidt weight of 1e-13, but
+        # its entropic gap is 2.4e-11: exact at the default gap_tol, handed to
+        # the barrier untouched at 1e-12 (neither PPT nor certified by its
+        # entangled fraction)
+        m = noisy_ket(1e-13, 3.6e-12)
         rho = DensityOperator.from_matrix(m, SPACE22)
         assert np.count_nonzero(np.linalg.eigvalsh(m) > 1e-12) == 1
         exact = relative_entropy_of_entanglement(rho)
@@ -801,6 +853,120 @@ class TestPureStateEdges:
         assert len(result.convergence) > 1
         assert result.convergence == barrier.convergence
         assert result.value == barrier.value
+
+
+def _product_of_mixed_qubits():
+    gen = rng(64)
+    return np.kron(random_density(gen, 2).matrix, random_density(gen, 2).matrix)
+
+
+class TestSeparableStates:
+    """On 2x2, 2x3 and 3x2 a PPT state is separable (Peres; Horodecki), so its
+    E_RE is exactly 0 and no solver runs; on 2x2 Wootters' product kets of the
+    state itself are the argmin."""
+
+    @pytest.mark.parametrize("matrix", [
+        werner(0.0), werner(0.2), werner(1.0 / 3.0), np.diag([0.5, 0.0, 0.0, 0.5]),
+        _product_of_mixed_qubits(),
+    ], ids=["werner-0", "werner-0.2", "werner-1/3", "rank-2-classical", "product"])
+    def test_two_qubit_ppt_states_are_exactly_zero(self, matrix):
+        rho = DensityOperator.from_matrix(matrix, SPACE22)
+        result = relative_entropy_of_entanglement(rho)
+        assert result.value == 0.0
+        assert result.convergence == ((0, 0.0, 0.0),)
+        assert result.status == "converged"
+        assert np.max(np.abs(result.argmin.matrix() - matrix)) <= 1e-10
+        assert relative_entropy(rho, assemble(result.argmin)).nats <= 1e-12
+
+    @pytest.mark.parametrize("dims", [(2, 3), (3, 2)])
+    def test_separable_two_by_three_states_are_exactly_zero(self, dims):
+        # four product terms span 4 of 6 dimensions: eigvalsh puts the two
+        # zero eigenvalues of the partial transpose at about -5e-17
+        mixture = SeparableMixture(tuple(random_product_terms(rng(65), *dims, 4)))
+        result = relative_entropy_of_entanglement(assemble(mixture))
+        assert result.value == 0.0
+        assert result.convergence == ((0, 0.0, 0.0),)
+        assert result.status == "converged"
+        assert result.argmin is None
+
+    def test_werner_state_just_past_the_threshold_is_not_ppt(self):
+        rho = DensityOperator.from_matrix(werner(0.34), SPACE22)
+        result = relative_entropy_of_entanglement(rho)
+        assert result.value == pytest.approx(LN2 - h_bin(0.505), abs=1e-12)
+        assert result.value > 0.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_bell_diagonal_states_in_local_frames_are_exact(seed):
+    """Bell-diagonal with lambda_max > 1/2 in a random local frame: the
+    entangled-fraction rule certifies E_RE = ln 2 - h(lambda_max) with no
+    solver run (Vedral & Plenio 1998)."""
+    gen = np.random.default_rng(seed)
+    weights = gen.dirichlet(np.ones(4))
+    assume(weights.max() > 0.5)
+    u = np.kron(random_unitary(gen, 2), random_unitary(gen, 2))
+    rho = DensityOperator.from_matrix(u @ bell_diagonal(weights) @ u.conj().T, SPACE22)
+    result = relative_entropy_of_entanglement(rho)
+    gap = result.convergence[-1][2]
+    assert result.status == "converged"
+    assert len(result.convergence) == 1
+    assert gap <= 1e-12  # sigma* is the exact minimizer here
+    assert -1e-12 <= result.value - bell_diagonal_ere(weights) <= gap + CLOSED_FORM_ROUNDING
+    assert relative_entropy(rho, assemble(result.argmin)).nats == pytest.approx(result.value, abs=1e-12)
+
+
+@pytest.mark.parametrize("weights", RANK_TWO_BELL_WEIGHTS + [(0.6, 0.3, 0.1, 0.0)])
+def test_rank_deficient_bell_diagonal_states_in_local_frames_are_exact(weights):
+    # sigma* then has exact zero eigenvalues, which eigvalsh puts at +-5e-16
+    gen = rng(69)
+    exact = bell_diagonal_ere(weights)
+    for _ in range(20):
+        result = relative_entropy_of_entanglement(local_frame(bell_diagonal(weights), gen))
+        assert len(result.convergence) == 1
+        assert result.convergence[-1][2] <= 1e-12
+        assert -1e-12 <= result.value - exact <= result.convergence[-1][2] + CLOSED_FORM_ROUNDING
+
+
+@settings(max_examples=20, deadline=None)
+@given(rank=st.integers(2, 4), data=st.data())
+def test_entangled_fraction_bound_is_below_the_barrier(rank, data):
+    """ln 2 - h(F) bounds E_RE from below on every entangled two-qubit state
+    with F > 1/2, so it never exceeds the barrier's value, an upper bound."""
+    g = draw_matrix(data, 4)[:, :rank]
+    m = g @ g.conj().T
+    assume(np.trace(m).real > 1e-3)
+    m = m / np.trace(m).real
+    f = entangled_fraction(m)
+    assume(min_pt_eigenvalue(m) < 0.0 and f > 0.5)
+    rho = DensityOperator.from_matrix(m, SPACE22)
+    barrier = entanglement._ppt_barrier(rho.matrix, von_neumann_entropy(rho).nats, (2, 2),
+                                        SolverOptions())
+    assert LN2 - h_bin(f) <= barrier.value + 1e-12
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_uncertified_states_match_a_direct_barrier_call(rank):
+    """Entangled states that are not Bell-diagonal pass both closed-form
+    rules untouched: value, trace, status and argmin are the barrier's, bit
+    for bit."""
+    gen = rng(66)
+    checked = 0
+    while checked < 4:
+        rho = random_two_qubit_mixed(gen, rank)
+        if min_pt_eigenvalue(rho.matrix) >= 0.0:
+            continue
+        result = relative_entropy_of_entanglement(rho)
+        barrier = entanglement._ppt_barrier(rho.matrix, von_neumann_entropy(rho).nats, (2, 2),
+                                            SolverOptions())
+        assert len(result.convergence) > 1
+        assert (result.value, result.convergence, result.status) == (
+            barrier.value, barrier.convergence, barrier.status)
+        assert len(result.argmin.terms) == len(barrier.argmin.terms)
+        for (p, ka, kb), (q, la, lb) in zip(result.argmin.terms, barrier.argmin.terms):
+            assert p == q and np.array_equal(ka, la) and np.array_equal(kb, lb)
+        checked += 1
+
 
 class TestPurificationOps:
     def test_bell_bound_is_one(self):

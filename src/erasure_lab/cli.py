@@ -9,11 +9,17 @@ numerical violation (which would indicate a bug, not bad input).
 
 The seed is --seed, else the scenario's seed field, else 0; it must be
 nonnegative and is recorded in every report.
+
+The argument parser is built once per process (``build_parser`` is cached);
+every ``main`` call parses into a fresh namespace, so calls share no state.
+jsonschema is imported on the first scenario load (see ``scenario``).
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
 import json
 import sys
 
@@ -52,8 +58,9 @@ def _to_json(report: dict) -> str:
 
 
 def _emit(args, seed: int, command: str, json_report: dict, text_report: str,
-          csv_text: str | None = None) -> None:
-    """Print the report; ``--out`` receives ``csv_text`` when given (demon), else the JSON."""
+          out_text: str | None = None) -> None:
+    """Print the report; ``--out`` receives ``out_text`` when given (the demon
+    CSV, the selftest report), else the JSON."""
     json_report = {"command": command, "seed": seed, **json_report}
     if args.format == "json":
         print(_to_json(json_report))
@@ -61,7 +68,7 @@ def _emit(args, seed: int, command: str, json_report: dict, text_report: str,
         print(f"# erasure-lab {command} seed={seed}")
         print(text_report, end="")
     if args.out:
-        _write(args.out, _to_json(json_report) + "\n" if csv_text is None else csv_text)
+        _write(args.out, _to_json(json_report) + "\n" if out_text is None else out_text)
 
 
 def _csv_shown(args, noun: str, csv_block: str) -> str:
@@ -197,13 +204,19 @@ def cmd_selftest(args) -> int:
     from .selftest import run_selftest
 
     seed = _resolve_seed(args, None)
-    report, passed = run_selftest(seed)
-    print(report, end="")
-    _write(args.out, report)
+    results = run_selftest(seed)
+    passed = all(r.passed for r in results)
+    text = "".join(f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}\n" for r in results)
+    text += f"selftest: {sum(r.passed for r in results)}/{len(results)} families passed\n"
+    report = {"families": [dataclasses.asdict(r) for r in results], "passed": passed}
+    # --out receives the text report in either format
+    _emit(args, seed, "selftest", report, text, f"# erasure-lab selftest seed={seed}\n" + text)
     return OK if passed else VIOLATION
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built on the first call; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="erasure-lab",
         description="Entropy accounting for erasure, error-correction cycles and "

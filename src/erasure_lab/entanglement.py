@@ -66,6 +66,9 @@ _MAX_FACTOR_DIM = 4
 # E_RE rules: eigvalsh puts exact zeros within 5e-16. A partial transpose at
 # -delta turns PPT on mixing in delta I, at relative entropy <= d delta.
 _PPT_ROUNDING = 1e-14
+# Product kets with 1 - |<a b|a' b'>| at or below this are one term of a
+# product split; merging them moves the mixture by about this much.
+_PARALLEL_KETS = 1e-12
 
 
 @dataclass(frozen=True)
@@ -724,13 +727,32 @@ def _wootters_kets(w: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def _product_split(omega: np.ndarray) -> SeparableMixture:
-    """A zero-concurrence two-qubit state as the mixture of Wootters' product kets."""
+    """A zero-concurrence two-qubit state as the mixture of Wootters' product kets.
+
+    Kets parallel on both factors (to ``_PARALLEL_KETS``) make one term, at the
+    weighted mean of their phase-aligned factors: it matches the terms' sum to
+    second order in the kets' distance, which a degenerate rho's rounding puts
+    as high as 1e-7 (the square roots of its zero eigenvalues).
+    """
     z, _ = _wootters_kets(*np.linalg.eigh(omega))
-    terms = []
-    for k in range(4):
-        left, sv, right = np.linalg.svd(z[:, k].reshape(2, 2))
-        if sv[0] > 1e-15:
-            terms.append((sv[0] ** 2, left[:, 0], right[0]))
+    left, sv, right = np.linalg.svd(z.T.reshape(4, 2, 2))
+    keep = sv[:, 0] > 1e-15
+    weights, kets_a, kets_b = sv[keep, 0] ** 2, left[keep, :, 0], right[keep, 0]
+    ov_a, ov_b = kets_a.conj() @ kets_a.T, kets_b.conj() @ kets_b.T  # [i, j] = <a_i|a_j>
+    parallel = 1.0 - np.abs(ov_a * ov_b) <= _PARALLEL_KETS
+    terms, taken = [], np.zeros(len(weights), dtype=bool)
+    for i in range(len(weights)):
+        if taken[i]:
+            continue
+        group = parallel[i] & ~taken
+        taken |= group
+        if np.count_nonzero(group) == 1:
+            terms.append((weights[i], kets_a[i], kets_b[i]))
+            continue
+        mean_a = (weights[group] * np.conj(ov_a[i, group]) / np.abs(ov_a[i, group])) @ kets_a[group]
+        mean_b = (weights[group] * np.conj(ov_b[i, group]) / np.abs(ov_b[i, group])) @ kets_b[group]
+        terms.append((weights[group].sum(), mean_a / np.linalg.norm(mean_a),
+                      mean_b / np.linalg.norm(mean_b)))
     total = sum(p for p, _, _ in terms)
     return SeparableMixture(tuple((p / total, ka, kb) for p, ka, kb in terms))
 

@@ -26,7 +26,7 @@ __all__ = [
     "vector_from_json",
 ]
 
-# Validation thresholds of ``require_hermitian`` and ``DensityOperator``.
+# Validation thresholds of ``hermitian_eig`` and ``DensityOperator``.
 HERMITICITY_TOL = 1e-10
 UNIT_TRACE_TOL = 1e-10
 PSD_TOL = 1e-10
@@ -38,16 +38,6 @@ def _as_square_array(m) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InputError(f"expected a square matrix, got shape {a.shape}")
-    return a
-
-
-def require_hermitian(m: np.ndarray) -> np.ndarray:
-    a = _as_square_array(m)
-    dev = np.max(np.abs(a - a.conj().T)) if a.size else 0.0
-    if not dev <= HERMITICITY_TOL:  # also rejects NaN
-        raise InputError(
-            f"matrix is not Hermitian: max |M - M^dag| = {dev:.3e} > {HERMITICITY_TOL:.1e}"
-        )
     return a
 
 
@@ -196,8 +186,14 @@ def hermitian_eig(m) -> tuple[np.ndarray, np.ndarray]:
     The input must be Hermitian to ``HERMITICITY_TOL``; its Hermitian part is
     what gets diagonalised.
     """
-    a = require_hermitian(m)
-    lam, v = np.linalg.eigh((a + a.conj().T) / 2.0)
+    a = _as_square_array(m)
+    a_dag = a.conj().T
+    dev = np.max(np.abs(a - a_dag)) if a.size else 0.0
+    if not dev <= HERMITICITY_TOL:  # also rejects NaN
+        raise InputError(
+            f"matrix is not Hermitian: max |M - M^dag| = {dev:.3e} > {HERMITICITY_TOL:.1e}"
+        )
+    lam, v = np.linalg.eigh((a + a_dag) / 2.0)
     return lam[::-1], v[:, ::-1]
 
 

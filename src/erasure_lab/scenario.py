@@ -4,6 +4,9 @@ Each command has a JSON schema; files are validated before any computation so
 malformed input fails fast with a diagnostic (CLI exit code 2). Matrices use
 the shared literal format {"dim": n, "re": [[...]], "im": [[...]]} (``im``
 optional) and kets use {"re": [...], "im": [...]}.
+
+jsonschema is imported on the first scenario load, not with this module, so
+``selftest`` and ``--help`` never load it.
 """
 
 from __future__ import annotations
@@ -11,8 +14,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-
-import jsonschema
 
 from .demon import QecScenario, equal_overlap_states
 from .errors import InputError
@@ -137,6 +138,8 @@ def load_scenario(path: str, command: str) -> dict:
         raise ScenarioError(f"scenario file is not valid JSON: {exc}") from exc
     if command not in SCHEMAS:
         raise ScenarioError(f"no scenario schema for command {command!r}")
+    import jsonschema
+
     # best_match picks the same error, and so the same message, as jsonschema.validate.
     error = jsonschema.exceptions.best_match(_validator(command).iter_errors(payload))
     if error is not None:
@@ -171,6 +174,8 @@ def _finite_float(token: str) -> float:
 @functools.cache
 def _validator(command: str):
     """Validator for one command's schema, checked against its metaschema once."""
+    import jsonschema
+
     schema = SCHEMAS[command]
     cls = jsonschema.validators.validator_for(schema)
     cls.check_schema(schema)

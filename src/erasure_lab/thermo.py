@@ -14,7 +14,7 @@ import numpy as np
 
 from .entropy import EntropyValue, von_neumann_entropy
 from .errors import InputError
-from .linalg import DensityOperator, TensorSpace, hermitian_eig, require_hermitian
+from .linalg import DensityOperator, TensorSpace, hermitian_eig
 
 __all__ = [
     "HamiltonianSpec",
@@ -40,16 +40,16 @@ class HamiltonianSpec:
     """
 
     def __init__(self, matrix, beta: float):
-        self.matrix = require_hermitian(matrix)
+        energies, frame = hermitian_eig(matrix)  # checks Hermiticity
+        self.matrix = np.asarray(matrix, dtype=complex)
         if not beta > 0.0:
             raise InputError(f"beta must be positive, got {beta}")
         self.beta = float(beta)
-        energies, frame = hermitian_eig(self.matrix)
         self.energies = energies  # descending
         self.frame = frame
-        shifted = -self.beta * (energies - energies.min())
-        self.log_partition = float(np.log(np.sum(np.exp(shifted))) - self.beta * energies.min())
-        self.gibbs_weights = np.exp(shifted) / np.sum(np.exp(shifted))
+        boltzmann = np.exp(-self.beta * (energies - energies.min()))
+        self.log_partition = float(np.log(np.sum(boltzmann)) - self.beta * energies.min())
+        self.gibbs_weights = boltzmann / np.sum(boltzmann)
 
     @property
     def dim(self) -> int:

@@ -1,13 +1,16 @@
 import json
 import math
+import os
 import shutil
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from erasure_lab import cli
 from erasure_lab.cli import main
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "docs" / "examples"
@@ -301,6 +304,19 @@ class TestEntanglementCommand:
         assert blob["ere"]["mixture_terms"] == 2
         assert blob["ere"]["final_gap"] <= 1e-12
 
+    def test_classical_mixture_reports_two_terms(self, tmp_path, capsys):
+        # (|00><00| + |11><11|)/2: Wootters' four kets are two repeated pairs
+        scenario = {"version": 1, "dims": [2, 2],
+                    "state": {"dim": 4, "re": np.diag([0.5, 0.0, 0.0, 0.5]).tolist()}}
+        path = tmp_path / "classical.json"
+        path.write_text(json.dumps(scenario))
+        code, out, _ = run_cli(["entanglement", "--scenario", str(path), "--format", "json"],
+                               capsys)
+        assert code == 0
+        blob = json.loads(out)
+        assert blob["ere"]["value_nats"] == 0.0
+        assert blob["ere"]["mixture_terms"] == 2
+
 
 class TestOutFile:
     """What --out receives: the JSON report, or the CSV for demon."""
@@ -357,6 +373,55 @@ class TestSelftestCommand:
         result = selftest._free_energy_family(gen, 200)
         assert result.passed, result.detail
 
+    @pytest.mark.parametrize("seed", [91769488, 335907622])
+    def test_free_energy_rhs_matches_the_rotated_relative_entropy(self, seed):
+        # S(rho || omega) from omega's exact eigensystem equals S(U^dag rho U ||
+        # diag(Gibbs weights)), drawn as _free_energy_family draws its pairs
+        from erasure_lab import sampling, selftest, thermo
+        from erasure_lab.entropy import relative_entropy
+        from erasure_lab.linalg import DensityOperator
+
+        gen = sampling.rng(seed)
+        selftest._landauer_family(gen, 200)
+        smallest = 1.0
+        for _ in range(200):
+            d = int(gen.integers(2, 4))
+            rho = sampling.random_density(gen, d)
+            ham = thermo.HamiltonianSpec(sampling.random_hermitian(gen, d),
+                                         beta=float(gen.uniform(0.2, 3.0)))
+            rho_h = DensityOperator.from_matrix(ham.frame.conj().T @ rho.matrix @ ham.frame)
+            omega_h = DensityOperator.from_matrix(np.diag(ham.gibbs_weights))
+            expected = relative_entropy(rho_h, omega_h).nats
+            got = selftest._relative_entropy_to_gibbs(rho, ham)
+            assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
+            smallest = min(smallest, float(ham.gibbs_weights.min()))
+        assert smallest < 1e-7  # Gibbs weights that ln(omega) must resolve
+
+    def test_json_format_is_strict_json_and_out_gets_text(self, tmp_path, capsys):
+        out_path = tmp_path / "selftest.txt"
+        code, out, _ = run_cli(["selftest", "--seed", "1", "--format", "json",
+                                "--out", str(out_path)], capsys)
+        assert code == 0
+
+        def refuse(token):
+            raise ValueError(f"non-standard JSON token {token}")
+        blob = json.loads(out, parse_constant=refuse)
+        assert list(blob) == ["command", "seed", "families", "passed"]
+        assert blob["command"] == "selftest" and blob["seed"] == 1 and blob["passed"] is True
+        assert len(blob["families"]) == 5
+        for family in blob["families"]:
+            assert list(family) == ["name", "passed", "detail"]
+            assert family["passed"] is True
+        # --out receives the text report in either format
+        text_out_path = tmp_path / "selftest-text.txt"
+        code, text, _ = run_cli(["selftest", "--seed", "1", "--out", str(text_out_path)], capsys)
+        assert code == 0
+        assert out_path.read_text() == text_out_path.read_text() == text
+        lines = text.splitlines()
+        assert lines[0] == "# erasure-lab selftest seed=1"
+        assert lines[1:-1] == [f"PASS {f['name']}: {f['detail']}" for f in blob["families"]]
+        assert lines[-1] == "selftest: 5/5 families passed"
+
 
 class TestOutOfRangeSettings:
     """Settings outside their range exit 2 before any solver or generator runs."""
@@ -406,6 +471,60 @@ def test_csv_format_is_rejected(command, capsys):
         main(command + ["--format", "csv"])
     assert exc.value.code == 2
     assert "invalid choice: 'csv'" in capsys.readouterr().err
+
+
+class TestParserReuse:
+    """The parser is built once per process; the calls it serves share no state."""
+
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_consecutive_calls_share_no_state(self, tmp_path, capsys):
+        out_path = tmp_path / "report.json"
+        code, out, _ = run_cli(["erasure", "--scenario", str(EXAMPLES / "erasure.json"),
+                                "--seed", "5", "--format", "json", "--out", str(out_path)],
+                               capsys)
+        assert code == 0
+        assert json.loads(out)["seed"] == 5
+        out_path.unlink()
+
+        code, out, _ = run_cli(["erasure", "--scenario", str(EXAMPLES / "erasure.json")], capsys)
+        assert code == 0
+        assert out.startswith("# erasure-lab erasure seed=7\n")  # the scenario's seed
+        unseeded = json.loads((EXAMPLES / "erasure.json").read_text())
+        del unseeded["seed"]
+        path = tmp_path / "unseeded.json"
+        path.write_text(json.dumps(unseeded))
+        code, out, _ = run_cli(["erasure", "--scenario", str(path)], capsys)
+        assert code == 0
+        assert out.startswith("# erasure-lab erasure seed=0\n")
+        assert list(tmp_path.iterdir()) == [path]
+
+
+def test_jsonschema_is_imported_on_the_first_scenario_load(tmp_path):
+    scenario = json.loads((EXAMPLES / "erasure.json").read_text())
+    del scenario["hamiltonian"]["beta"]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(scenario))
+    script = textwrap.dedent(f"""
+        import contextlib, io, sys
+        from erasure_lab import cli
+        assert "jsonschema" not in sys.modules, "import"
+        with contextlib.redirect_stdout(io.StringIO()):
+            try:
+                cli.main(["--help"])
+            except SystemExit:
+                pass
+            assert cli.main(["selftest"]) == 0
+        assert "jsonschema" not in sys.modules, "selftest"
+        sys.exit(cli.main(["erasure", "--scenario", {str(bad)!r}]))
+    """)
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == ("scenario error: scenario does not match the erasure schema: "
+                           "'beta' is a required property\n")
 
 
 class TestEntryPoint:

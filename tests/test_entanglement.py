@@ -878,6 +878,31 @@ class TestSeparableStates:
         assert np.max(np.abs(result.argmin.matrix() - matrix)) <= 1e-10
         assert relative_entropy(rho, assemble(result.argmin)).nats <= 1e-12
 
+    def test_parallel_product_kets_make_one_term(self):
+        # Wootters' four kets of (|00><00| + |11><11|)/2 are two repeated pairs
+        matrix = np.diag([0.5, 0.0, 0.0, 0.5])
+        result = relative_entropy_of_entanglement(DensityOperator.from_matrix(matrix, SPACE22))
+        assert len(result.argmin.terms) == 2
+        assert [w for w, _, _ in result.argmin.terms] == pytest.approx([0.5, 0.5], abs=1e-12)
+        assert np.max(np.abs(result.argmin.matrix() - matrix)) <= 1e-10
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_merged_terms_reassemble_rank_two_states(self, seed):
+        # the rounding of rho's zero eigenvalues puts the repeated kets up to
+        # 1e-7 apart and in any phase; the phase-aligned mean keeps the matrix
+        gen = rng(seed)
+        u = np.kron(random_unitary(gen, 2), random_unitary(gen, 2))
+        k1, k2 = (np.kron(random_unitary(gen, 2)[:, 0], random_unitary(gen, 2)[:, 0])
+                  for _ in range(2))
+        p = gen.uniform(0.1, 0.9)
+        rotated_classical = u @ np.diag([p, 0.0, 0.0, 1.0 - p]) @ u.conj().T
+        two_products = p * np.outer(k1, k1.conj()) + (1.0 - p) * np.outer(k2, k2.conj())
+        for matrix in (rotated_classical, two_products):
+            result = relative_entropy_of_entanglement(DensityOperator.from_matrix(matrix, SPACE22))
+            assert result.value == 0.0
+            assert len(result.argmin.terms) == 2
+            assert np.max(np.abs(result.argmin.matrix() - matrix)) <= 1e-12
+
     @pytest.mark.parametrize("dims", [(2, 3), (3, 2)])
     def test_separable_two_by_three_states_are_exactly_zero(self, dims):
         # four product terms span 4 of 6 dimensions: eigvalsh puts the two

@@ -520,6 +520,7 @@ _YY = np.array([[0.0, 0.0, 0.0, -1.0], [0.0, 0.0, 1.0, 0.0],
                 [0.0, 1.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0]])
 _HADAMARD4 = np.array([[1, 1, 1, 1], [1, 1, -1, -1],
                        [1, -1, 1, -1], [1, -1, -1, 1]]) / 2.0
+_BARRIER_START = 100.0       # t of the first centring step
 _BARRIER_GROWTH = 10.0       # t multiplier between centring steps
 _BARRIER_MARGIN = 100.0      # the path runs on until nu/t <= gap_tol / margin
 _NEWTON_STEPS = 50           # per centring step
@@ -557,7 +558,10 @@ def _ppt_barrier(rho: np.ndarray, s_rho: float, dims: tuple[int, int],
     trace-one omega = I/d + sum_a x_a B_a, d = d_A d_B, by damped Newton
     steps on t H_obj + H_bar, with the objective's and the log-det terms'
     gradients and Hessians taken once per point from omega's eigensystem and
-    the inverse of omega^{T_B}, then multiplies t by mu = _BARRIER_GROWTH.
+    the inverse of omega^{T_B}, then multiplies t by mu = _BARRIER_GROWTH,
+    starting from t = _BARRIER_START. That is a power of mu, so the path
+    still stops at the same t as one started from t = 1, and its final
+    centred point, the unique minimizer at that t, is the same.
     Each trace row is one centring step; at a centred point S(rho || omega)
     exceeds the PPT minimum by at most nu / t, nu = 2d (two log-det barriers
     on d x d blocks), the recorded gap, and the run is "converged" once that
@@ -611,7 +615,7 @@ def _ppt_barrier(rho: np.ndarray, s_rho: float, dims: tuple[int, int],
             h_bar += (s_a.reshape(n, -1) @ s_a.swapaxes(1, 2).reshape(n, -1).T).real
         return g_obj, -(k + k.T).real, g_bar, h_bar
 
-    x, t = np.zeros(n), 1.0
+    x, t = np.zeros(n), _BARRIER_START
     point = evaluate(x)
     derivs = derivatives(point)
     trace: list[tuple[int, float, float]] = []

@@ -21,6 +21,7 @@ __all__ = [
     "von_neumann_entropy",
     "relative_entropy",
     "cross_term_eig",
+    "spectrum_entropy",
     "mutual_information",
     "shannon_entropy",
     "binary_entropy",
@@ -54,35 +55,44 @@ class EntropyValue:
 INFINITE = EntropyValue(math.inf)
 
 
-def _clamped(value: float, slack: float = 1e-9) -> EntropyValue:
-    """Round tiny negatives (eigensolver noise) up to zero."""
-    if value < -slack:
-        raise InputError(f"entropy came out {value}, below the numerical slack {-slack}")
-    return EntropyValue(value if value > 0.0 else 0.0)
+def _clamp(value, slack: float = 1e-9) -> np.ndarray:
+    """Round tiny negatives (eigensolver noise) up to zero, elementwise."""
+    value = np.asarray(value, dtype=float)
+    if value.min() < -slack:
+        raise InputError(f"entropy came out {value.min()}, below the numerical slack {-slack}")
+    return np.maximum(value, 0.0)  # also turns -0.0 into 0.0
 
 
-def _entropy_of_eigenvalues(lam: np.ndarray) -> float:
-    lam = np.where((lam < 0.0) & (lam >= -PSD_TOL), 0.0, lam)
-    if lam.min() < 0.0:
+def _clamped(value: float) -> EntropyValue:
+    return EntropyValue(float(_clamp(value)))
+
+
+def spectrum_entropy(lam: np.ndarray) -> np.ndarray:
+    """-sum p ln p over the last axis of ``lam`` (..., d), with 0 ln 0 = 0.
+
+    Entries in [-PSD_TOL, 0) count as zero and a lower entry raises; a result
+    below zero by rounding is clamped to zero.
+    """
+    if lam.min() < -PSD_TOL:
         raise InputError(f"negative probability {lam.min()} in entropy evaluation")
-    pos = lam[lam > 0.0]
-    return float(-np.sum(pos * np.log(pos)))
+    p = np.maximum(lam, 0.0)
+    return _clamp(-(p * np.log(np.where(p > 0.0, p, 1.0))).sum(axis=-1))
 
 
 def von_neumann_entropy(rho: DensityOperator) -> EntropyValue:
     """S(rho) = -tr(rho ln rho) in nats, with 0 ln 0 = 0."""
-    return _clamped(_entropy_of_eigenvalues(rho.eigenvalues))
+    return EntropyValue(float(spectrum_entropy(rho.eigenvalues)))
 
 
 def cross_term_eig(rho: np.ndarray, w: np.ndarray, u: np.ndarray) -> np.ndarray:
     """-tr(rho ln omega) from omega's eigensystem, batched over leading axes.
 
-    ``w`` (..., d) holds the eigenvalues and ``u`` (..., d, d) the
-    eigenvectors as columns. Eigenvalues at or below EIG_FLOOR are omega's
-    kernel; where rho puts more than SUPPORT_OVERLAP_TOL of its mass there,
-    the value is inf.
+    ``rho`` is (..., d, d), ``w`` (..., d) holds the eigenvalues and ``u``
+    (..., d, d) the eigenvectors as columns; the leading axes broadcast.
+    Eigenvalues at or below EIG_FLOOR are omega's kernel; where rho puts more
+    than SUPPORT_OVERLAP_TOL of its mass there, the value is inf.
     """
-    mass = np.clip(np.real(np.einsum("...ik,ij,...jk->...k", u.conj(), rho, u)), 0.0, None)
+    mass = np.clip(np.real(np.einsum("...ik,...ij,...jk->...k", u.conj(), rho, u)), 0.0, None)
     kernel = w <= EIG_FLOOR
     value = -(mass * np.log(np.where(kernel, 1.0, w))).sum(axis=-1)
     return np.where((mass * kernel).sum(axis=-1) > SUPPORT_OVERLAP_TOL, math.inf, value)
@@ -119,7 +129,7 @@ def shannon_entropy(p) -> EntropyValue:
         raise InputError("empty probability vector")
     if not abs(arr.sum() - 1.0) <= 1e-9:  # also rejects NaN
         raise InputError(f"probabilities sum to {arr.sum()}, not 1")
-    return _clamped(_entropy_of_eigenvalues(arr))
+    return EntropyValue(float(spectrum_entropy(arr)))
 
 
 def binary_entropy(x: float) -> EntropyValue:

@@ -22,6 +22,7 @@ __all__ = [
     "DensityOperator",
     "partial_trace",
     "hermitian_eig",
+    "density_eig",
     "matrix_from_json",
     "vector_from_json",
 ]
@@ -94,7 +95,7 @@ class DensityOperator:
 
     Construction validates Hermiticity, unit trace and positivity to the
     module thresholds ``HERMITICITY_TOL``, ``UNIT_TRACE_TOL`` and ``PSD_TOL``.
-    The positivity check's ``hermitian_eig`` is kept as ``eigenvalues``
+    The positivity check's ``density_eig`` is kept as ``eigenvalues``
     (descending) and ``eigenvectors`` (columns), so consumers diagonalise
     nothing; these and a private copy of ``matrix`` are read-only.
     """
@@ -110,12 +111,7 @@ class DensityOperator:
             raise InputError(
                 f"matrix dimension {m.shape[0]} does not match space dimension {self.space.dim}"
             )
-        lam, vecs = hermitian_eig(m)
-        tr = complex(np.trace(m))
-        if not abs(tr - 1.0) <= UNIT_TRACE_TOL:
-            raise InputError(f"trace must be 1, got {tr}")
-        if not lam[-1] >= -PSD_TOL:
-            raise InputError(f"matrix is not positive semidefinite: min eigenvalue {lam[-1]:.3e}")
+        lam, vecs = density_eig(m)
         for name, a in (("matrix", m), ("eigenvalues", lam), ("eigenvectors", vecs)):
             a.flags.writeable = False
             object.__setattr__(self, name, a)
@@ -179,22 +175,52 @@ def partial_trace(rho: DensityOperator, keep) -> DensityOperator:
     return DensityOperator(space.subspace(keep_set), reduced)
 
 
+def _stack_member(ok: np.ndarray) -> str:
+    """Names the first failing member of a stack; empty for a single matrix."""
+    return f" (stack member {np.argwhere(~ok)[0].tolist()})" if ok.ndim else ""
+
+
 def hermitian_eig(m) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix by LAPACK (``numpy.linalg.eigh``).
+    """Eigendecomposition of a Hermitian matrix, or a stack (..., d, d) of them,
+    by LAPACK (``numpy.linalg.eigh``).
 
     Returns (eigenvalues descending, eigenvectors as orthonormal columns).
-    The input must be Hermitian to ``HERMITICITY_TOL``; its Hermitian part is
-    what gets diagonalised.
+    Each matrix must be Hermitian to ``HERMITICITY_TOL``; its Hermitian part
+    is what gets diagonalised.
     """
-    a = _as_square_array(m)
-    a_dag = a.conj().T
-    dev = np.max(np.abs(a - a_dag)) if a.size else 0.0
-    if not dev <= HERMITICITY_TOL:  # also rejects NaN
+    a = np.asarray(m, dtype=complex)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise InputError(f"expected a square matrix, got shape {a.shape}")
+    a_dag = a.conj().swapaxes(-1, -2)
+    dev = np.abs(a - a_dag).max(axis=(-2, -1), initial=0.0)
+    ok = dev <= HERMITICITY_TOL  # also rejects NaN
+    if not ok.all():
         raise InputError(
-            f"matrix is not Hermitian: max |M - M^dag| = {dev:.3e} > {HERMITICITY_TOL:.1e}"
+            f"matrix is not Hermitian: max |M - M^dag| = {dev[~ok].flat[0]:.3e} > "
+            f"{HERMITICITY_TOL:.1e}{_stack_member(ok)}"
         )
     lam, v = np.linalg.eigh((a + a_dag) / 2.0)
-    return lam[::-1], v[:, ::-1]
+    return lam[..., ::-1], v[..., ::-1]
+
+
+def density_eig(m) -> tuple[np.ndarray, np.ndarray]:
+    """``hermitian_eig`` of a density matrix, or a stack (..., d, d) of them.
+
+    Each matrix must also have unit trace to ``UNIT_TRACE_TOL`` and no
+    eigenvalue below ``-PSD_TOL``; the first member of a stack that fails a
+    check is named in the ``InputError``.
+    """
+    lam, vecs = hermitian_eig(m)
+    tr = np.trace(m, axis1=-2, axis2=-1)
+    ok = abs(tr - 1.0) <= UNIT_TRACE_TOL
+    if not ok.all():
+        raise InputError(f"trace must be 1, got {complex(tr[~ok].flat[0])}{_stack_member(ok)}")
+    low = lam[..., -1]
+    ok = low >= -PSD_TOL
+    if not ok.all():
+        raise InputError(f"matrix is not positive semidefinite: min eigenvalue "
+                         f"{low[~ok].flat[0]:.3e}{_stack_member(ok)}")
+    return lam, vecs
 
 
 def _require_finite(re: np.ndarray, im: np.ndarray, kind: str) -> None:

@@ -20,8 +20,11 @@ __all__ = [
     "HamiltonianSpec",
     "ErasureReport",
     "CollisionTrace",
+    "gibbs_log_weights",
     "gibbs_state",
+    "free_energies",
     "free_energy",
+    "erasure_terms",
     "erasure_entropy",
     "collision_step",
     "thermalize",
@@ -31,25 +34,41 @@ __all__ = [
 LANDAUER_SLACK = 1e-9
 
 
+def gibbs_log_weights(energies: np.ndarray, beta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(ln Z, q, ln q) for energies (..., d) at inverse temperatures beta (...).
+
+    q_j = e^(-beta e_j) / Z are the Gibbs weights; the log-sum-exp shift keeps
+    large beta values stable, and ln q_j = -beta e_j - ln Z stays exact where
+    q_j underflows.
+    """
+    beta = np.asarray(beta, dtype=float)[..., None]
+    e_min = energies.min(axis=-1, keepdims=True)
+    boltzmann = np.exp(-beta * (energies - e_min))
+    total = boltzmann.sum(axis=-1, keepdims=True)
+    log_partition = np.log(total) - beta * e_min
+    return log_partition[..., 0], boltzmann / total, -beta * energies - log_partition
+
+
 class HamiltonianSpec:
     """Hermitian Hamiltonian plus inverse temperature beta.
 
-    Derived quantities (temperature, log partition function, Gibbs weights)
-    are computed once at construction; the log-sum-exp shift keeps large beta
-    values stable.
+    Derived quantities (temperature, log partition function, Gibbs weights
+    and their logarithms) are computed once at construction by
+    ``gibbs_log_weights``.
     """
 
     def __init__(self, matrix, beta: float):
-        energies, frame = hermitian_eig(matrix)  # checks Hermiticity
         self.matrix = np.asarray(matrix, dtype=complex)
+        if self.matrix.ndim != 2:
+            raise InputError(f"expected a square matrix, got shape {self.matrix.shape}")
+        energies, frame = hermitian_eig(self.matrix)  # checks Hermiticity
         if not beta > 0.0:
             raise InputError(f"beta must be positive, got {beta}")
         self.beta = float(beta)
         self.energies = energies  # descending
         self.frame = frame
-        boltzmann = np.exp(-self.beta * (energies - energies.min()))
-        self.log_partition = float(np.log(np.sum(boltzmann)) - self.beta * energies.min())
-        self.gibbs_weights = boltzmann / np.sum(boltzmann)
+        log_partition, self.gibbs_weights, self.gibbs_log_weights = gibbs_log_weights(energies, beta)
+        self.log_partition = float(log_partition)
 
     @property
     def dim(self) -> int:
@@ -68,12 +87,16 @@ def gibbs_state(h: HamiltonianSpec, space: TensorSpace | None = None) -> Density
     return DensityOperator.from_matrix(m, space)
 
 
+def free_energies(rho: np.ndarray, h: np.ndarray, temperature, entropy) -> np.ndarray:
+    """F = tr(rho H) - T S over stacks (..., d, d) of states and Hamiltonians."""
+    return np.real(np.einsum("...ij,...ji->...", rho, h)) - temperature * entropy
+
+
 def free_energy(rho: DensityOperator, h: HamiltonianSpec) -> float:
     """F(rho) = tr(rho H) - T S(rho), in energy units."""
     if rho.dim != h.dim:
         raise InputError(f"dimension mismatch: state {rho.dim} vs Hamiltonian {h.dim}")
-    u = float(np.real(np.trace(rho.matrix @ h.matrix)))
-    return u - h.temperature * von_neumann_entropy(rho).nats
+    return float(free_energies(rho.matrix, h.matrix, h.temperature, von_neumann_entropy(rho).nats))
 
 
 @dataclass(frozen=True)
@@ -100,6 +123,20 @@ class ErasureReport:
         }
 
 
+def erasure_terms(rho: np.ndarray, frame: np.ndarray, q: np.ndarray, log_q: np.ndarray,
+                  info_gain) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(S(omega), tr((omega - rho) ln omega), -tr(rho ln omega), Landauer holds)
+    over stacks: states rho (..., d, d), reservoir eigenvectors ``frame``
+    (..., d, d) as columns, Gibbs weights q and log-weights ln q (..., d), and
+    info_gain (...) in nats. Every sum runs in the reservoir eigenbasis."""
+    overlaps = np.real(np.einsum("...ik,...ij,...jk->...k", frame.conj(), rho, frame))
+    overlaps = np.clip(overlaps, 0.0, None)
+    delta_app = -np.sum(q * log_q, axis=-1)
+    delta_res = np.sum((q - overlaps) * log_q, axis=-1)
+    delta_total = -np.sum(overlaps * log_q, axis=-1)
+    return delta_app, delta_res, delta_total, delta_total >= info_gain - LANDAUER_SLACK
+
+
 def erasure_entropy(apparatus: DensityOperator, reservoir: HamiltonianSpec,
                     info_gain: EntropyValue) -> ErasureReport:
     """Total erasure cost -tr(rho ln omega) split into apparatus and reservoir parts.
@@ -110,23 +147,16 @@ def erasure_entropy(apparatus: DensityOperator, reservoir: HamiltonianSpec,
     """
     if apparatus.dim != reservoir.dim:
         raise InputError(f"dimension mismatch: {apparatus.dim} vs {reservoir.dim}")
-    q = reservoir.gibbs_weights
-    log_q = -reservoir.beta * reservoir.energies - reservoir.log_partition
-    frame = reservoir.frame
-    overlaps = np.real(np.einsum("ik,ij,jk->k", frame.conj(), apparatus.matrix, frame))
-    overlaps = np.clip(overlaps, 0.0, None)
-
-    delta_app = float(-np.sum(q * log_q))          # S(omega)
-    delta_res = float(np.sum((q - overlaps) * log_q))   # tr((omega - rho) ln omega)
-    delta_total = float(-np.sum(overlaps * log_q))      # -tr(rho ln omega)
-    satisfied = delta_total >= info_gain.nats - LANDAUER_SLACK
+    delta_app, delta_res, delta_total, satisfied = erasure_terms(
+        apparatus.matrix, reservoir.frame, reservoir.gibbs_weights, reservoir.gibbs_log_weights,
+        info_gain.nats)
     return ErasureReport(
         # max keeps its first argument on a tie, so a pure Gibbs state's -0.0 reads +0.0
-        delta_app=EntropyValue(max(0.0, delta_app)),
-        delta_res=delta_res,
-        delta_total=delta_total,
+        delta_app=EntropyValue(max(0.0, float(delta_app))),
+        delta_res=float(delta_res),
+        delta_total=float(delta_total),
         info_gain=info_gain,
-        landauer_satisfied=satisfied,
+        landauer_satisfied=bool(satisfied),
     )
 
 

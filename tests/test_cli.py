@@ -376,15 +376,18 @@ class TestSelftestCommand:
     @pytest.mark.parametrize("seed", [91769488, 335907622])
     def test_free_energy_rhs_matches_the_rotated_relative_entropy(self, seed):
         # S(rho || omega) from omega's exact eigensystem equals S(U^dag rho U ||
-        # diag(Gibbs weights)), drawn as _free_energy_family draws its pairs
+        # diag(Gibbs weights)), drawn pair by pair as _free_energy_family draws them
         from erasure_lab import sampling, selftest, thermo
         from erasure_lab.entropy import relative_entropy
         from erasure_lab.linalg import DensityOperator
 
         gen = sampling.rng(seed)
         selftest._landauer_family(gen, 200)
+        pairs = selftest._pair_values(gen, 200)
+        gen = sampling.rng(seed)
+        selftest._pair_values(gen, 200)
         smallest = 1.0
-        for _ in range(200):
+        for k in range(200):
             d = int(gen.integers(2, 4))
             rho = sampling.random_density(gen, d)
             ham = thermo.HamiltonianSpec(sampling.random_hermitian(gen, d),
@@ -392,10 +395,54 @@ class TestSelftestCommand:
             rho_h = DensityOperator.from_matrix(ham.frame.conj().T @ rho.matrix @ ham.frame)
             omega_h = DensityOperator.from_matrix(np.diag(ham.gibbs_weights))
             expected = relative_entropy(rho_h, omega_h).nats
-            got = selftest._relative_entropy_to_gibbs(rho, ham)
-            assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
+            assert pairs.relative_entropy[k] == pytest.approx(expected, rel=1e-12, abs=0.0)
             smallest = min(smallest, float(ham.gibbs_weights.min()))
         assert smallest < 1e-7  # Gibbs weights that ln(omega) must resolve
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_stacked_pairs_match_the_per_object_api(self, seed):
+        # the stack kernels are the ones DensityOperator, HamiltonianSpec,
+        # erasure_entropy and free_energy run on one pair
+        from erasure_lab import sampling, selftest, thermo
+        from erasure_lab.entropy import von_neumann_entropy
+
+        pairs = selftest._pair_values(sampling.rng(seed), 200)
+        gen = sampling.rng(seed)
+        expected = []
+        for _ in range(200):
+            d = int(gen.integers(2, 4))
+            rho = sampling.random_density(gen, d)
+            ham = thermo.HamiltonianSpec(sampling.random_hermitian(gen, d),
+                                         beta=float(gen.uniform(0.2, 3.0)))
+            info = von_neumann_entropy(rho)
+            report = thermo.erasure_entropy(rho, ham, info)
+            expected.append((info.nats, report.delta_total, thermo.free_energy(rho, ham),
+                             -ham.temperature * ham.log_partition, report.landauer_satisfied))
+        entropy, cost, free, gibbs_free, satisfied = (np.array(column) for column in zip(*expected))
+        for got, want in ((pairs.entropy, entropy), (pairs.erasure_cost, cost),
+                          (pairs.free_energy, free), (pairs.gibbs_free_energy, gibbs_free)):
+            np.testing.assert_allclose(got, want, rtol=1e-15, atol=1e-15)
+        assert np.array_equal(pairs.landauer_satisfied, satisfied)
+
+    def test_landauer_violation_is_reported_by_draw_position(self, monkeypatch):
+        # every pair of the dimension that the first pair lacks is made to
+        # violate the bound; the report names the first of them in draw
+        # order, not its place in its stack
+        from erasure_lab import sampling, selftest
+
+        gen = sampling.rng(0)
+        dims = []
+        for _ in range(200):
+            dims.append(int(gen.integers(2, 4)))
+            sampling.complex_gaussian(gen, (2, dims[-1], dims[-1]))
+            gen.uniform(0.2, 3.0)
+        violating = 5 - dims[0]
+        entropy = selftest.spectrum_entropy
+        monkeypatch.setattr(selftest, "spectrum_entropy",
+                            lambda lam: entropy(lam) + 10.0 * (lam.shape[-1] == violating))
+        result = selftest._landauer_family(sampling.rng(0), 200)
+        assert not result.passed
+        assert result.detail.startswith(f"pair {dims.index(violating)}: bound violated by 9.")
 
     def test_json_format_is_strict_json_and_out_gets_text(self, tmp_path, capsys):
         out_path = tmp_path / "selftest.txt"

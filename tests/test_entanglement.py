@@ -704,6 +704,8 @@ class TestBarrierWork:
     Newton system. Before the centring steps were warm-started and the
     Newton system split by t, these states took 110 / 93 / 92 evaluations
     and 68 / 57 / 57 solves; each count must stay within two thirds of that.
+    Starting the path at t = 100 instead of 1 took them from 42 / 33 / 40
+    evaluations and 38 / 32 / 37 solves to 35 / 26 / 34 and 31 / 23 / 30.
     The barrier is called directly, since relative_entropy_of_entanglement
     takes pure states to the closed form."""
 

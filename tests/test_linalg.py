@@ -6,6 +6,7 @@ from erasure_lab.errors import InputError
 from erasure_lab.linalg import (
     DensityOperator,
     TensorSpace,
+    density_eig,
     hermitian_eig,
     matrix_from_json,
     partial_trace,
@@ -201,6 +202,36 @@ class TestDensityOperator:
     def test_from_ket_requires_unit_norm(self):
         with pytest.raises(InputError):
             DensityOperator.from_ket(np.array([1.0, 1.0]))
+
+
+class TestStacks:
+    """hermitian_eig and DensityOperator's checks run on stacks (..., d, d):
+    the selftest validates its random states that way."""
+
+    def test_stack_matches_one_matrix_at_a_time(self):
+        stack = np.array([random_state_matrix(3) for _ in range(5)])
+        lam, vecs = density_eig(stack)
+        for m, lam_k, vecs_k in zip(stack, lam, vecs):
+            rho = DensityOperator.from_matrix(m)
+            assert np.array_equal(lam_k, rho.eigenvalues)
+            assert np.array_equal(vecs_k, rho.eigenvectors)
+
+    @pytest.mark.parametrize("bad, message", [
+        (np.array([[0.5, 0.5], [0.0, 0.5]]), "not Hermitian"),
+        (np.eye(2), "trace must be 1"),
+        (np.diag([1.5, -0.5]), "not positive semidefinite"),
+    ], ids=["non-hermitian", "trace-2", "negative-eigenvalue"])
+    def test_one_bad_member_is_rejected_by_position(self, bad, message):
+        stack = np.array([np.eye(2) / 2] * 4, dtype=complex)
+        stack[2] = bad
+        with pytest.raises(InputError, match=rf"{message}.*\(stack member \[2\]\)"):
+            density_eig(stack)
+        with pytest.raises(InputError, match=message):
+            DensityOperator.from_matrix(bad)
+
+    def test_density_operator_rejects_a_stack(self):
+        with pytest.raises(InputError, match="square matrix"):
+            DensityOperator.from_matrix(np.array([np.eye(2) / 2] * 2))
 
 
 def cold_gibbs_state():

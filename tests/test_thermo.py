@@ -294,3 +294,21 @@ def test_free_energy_excess_is_relative_entropy(d, data):
     omega_h = DensityOperator.from_matrix(np.diag(ham.gibbs_weights))
     rhs = ham.temperature * relative_entropy(rho_h, omega_h).nats
     assert abs(lhs - rhs) <= 1e-9 * max(abs(rhs), 1.0)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_gibbs_free_energy_is_minus_t_log_partition(d, data):
+    """F(omega) = -T ln Z, the value the selftest's free-energy family takes
+    for F(omega), up to beta = 1e3; relative to max(|F|, 1) as that family
+    measures its error."""
+    h = draw_matrix(data, d)
+    ham = HamiltonianSpec((h + h.conj().T) / 2, beta=data.draw(st.floats(0.2, 1e3)))
+    expected = -ham.temperature * ham.log_partition
+    assert abs(free_energy(gibbs_state(ham), ham) - expected) <= 1e-12 * max(abs(expected), 1.0)
+
+
+def test_hamiltonian_rejects_a_stack():
+    with pytest.raises(InputError, match="square matrix"):
+        HamiltonianSpec(np.array([np.eye(2)] * 2), beta=1.0)

@@ -11,8 +11,9 @@ separable set. Five rules run in order, and the first that applies answers:
    certified by ln 2 - h(F) and exact on Bell-diagonal states in every local
    frame (Vedral & Plenio 1998);
 4. other states on 2x2, 2x3 and 3x2: a log-barrier Newton path over the PPT
-   set with certified gap nu/t, each centring step warm-started from the
-   path's tangent;
+   set, each centring step warm-started from the path's tangent. Steps whose
+   nu/t exceeds gap_tol centre loosely and carry an explicit dual gap; the
+   steps that can certify centre fully and carry the gap nu/t;
 5. larger factors: Frank-Wolfe steps toward product pure states, found by a
    local oracle, so the Frank-Wolfe gap is not a certificate.
 
@@ -196,12 +197,12 @@ class SeparableMixture:
         return ka.size, kb.size
 
     def matrix(self) -> np.ndarray:
-        d_a, d_b = self.dims
-        out = np.zeros((d_a * d_b, d_a * d_b), dtype=complex)
-        for w, ka, kb in self.terms:
-            ket = np.kron(ka, kb)
-            out += w * np.outer(ket, ket.conj())
-        return out
+        """Sum_i p_i |a_i b_i><a_i b_i| as one product of the stacked kets."""
+        weights = np.array([w for w, _, _ in self.terms])
+        kets_a = np.array([ka for _, ka, _ in self.terms])
+        kets_b = np.array([kb for _, _, kb in self.terms])
+        kets = (kets_a[:, :, None] * kets_b[:, None, :]).reshape(len(weights), -1)
+        return (kets.T * weights) @ kets.conj()
 
     @staticmethod
     def maximally_mixed(dims: tuple[int, int]) -> "SeparableMixture":
@@ -312,34 +313,38 @@ def _log_dd1(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     precision for nearly equal arguments and gives 1/b when they coincide.
     """
     u = (a - b) / b
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.log1p(u) / u
-    return np.where(u == 0.0, 1.0, ratio) / b
+    equal = u == 0.0
+    return np.where(equal, 1.0, np.log1p(u) / np.where(equal, 1.0, u)) / b
 
 
 @lru_cache(maxsize=None)
-def _ascending_triples(d: int) -> np.ndarray:
-    """Every index triple over range(d), each sorted ascending, as a (3, d, d, d) array."""
-    return np.sort(np.indices((d, d, d)), axis=0)
+def _triple_indices(d: int) -> tuple[np.ndarray, ...]:
+    """Flat index arrays over the d^3 triples (i, j, k) in C order: the three
+    entries of each triple in ascending order, then the position of R_ki in a
+    flattened d x d matrix and of [(i, j), (j, k)] in a flattened d^2 x d^2 one."""
+    i, j, k = np.indices((d, d, d)).reshape(3, -1)
+    lo, mid, hi = np.sort([i, j, k], axis=0)
+    return lo, mid, hi, k * d + i, (i * d + j) * d * d + j * d + k
 
 
 def _log_dd2(w: np.ndarray, loewner: np.ndarray) -> np.ndarray:
-    """Second divided differences ln[w_i, w_j, w_k] as a (d, d, d) array, for
-    ascending w and its first divided differences loewner = ln[w_i, w_j].
+    """Second divided differences ln[w_i, w_j, w_k], flat over the triples
+    (i, j, k) in C order, for ascending w and its first divided differences
+    loewner = ln[w_i, w_j].
 
     Each triple is taken in ascending order so the outer pair carries the
     largest spread; below a relative spread of 1e-4 the Taylor series about
     their mean (through the fourth derivative) replaces the cancelling
     difference.
     """
-    i_lo, i_mid, i_hi = _ascending_triples(w.size)
+    i_lo, i_mid, i_hi = _triple_indices(w.size)[:3]
     lo, mid, hi = w[i_lo], w[i_mid], w[i_hi]
     mean = (lo + mid + hi) / 3.0
     h2 = ((lo - mean) ** 2 + (mid - mean) ** 2 + (hi - mean) ** 2) / 2.0
     series = -0.5 / mean**2 - h2 / (4.0 * mean**4)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        exact = (loewner[i_hi, i_mid] - loewner[i_mid, i_lo]) / (hi - lo)
-    return np.where(hi - lo > 1e-4 * mean, exact, series)
+    wide = hi - lo > 1e-4 * mean
+    exact = (loewner[i_hi, i_mid] - loewner[i_mid, i_lo]) / np.where(wide, hi - lo, 1.0)
+    return np.where(wide, exact, series)
 
 
 def _neg_gradient(rho: np.ndarray, w: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -525,6 +530,7 @@ _BARRIER_GROWTH = 10.0       # t multiplier between centring steps
 _BARRIER_MARGIN = 100.0      # the path runs on until nu/t <= gap_tol / margin
 _NEWTON_STEPS = 50           # per centring step
 _NEWTON_DECREMENT_TOL = 1e-12
+_LOOSE_DECREMENT = 0.5       # where a step whose nu/t cannot certify stops centring
 _FULL_STEP_DECREMENT = 1e-4  # below it the whole Newton step is taken: near the
                              # centre, roundoff in t * S swamps the Armijo test
 
@@ -556,33 +562,45 @@ def _ppt_barrier(rho: np.ndarray, s_rho: float, dims: tuple[int, int],
 
     Minimizes t S(rho || omega) - ln det omega - ln det omega^{T_B} over
     trace-one omega = I/d + sum_a x_a B_a, d = d_A d_B, by damped Newton
-    steps on t H_obj + H_bar, with the objective's and the log-det terms'
-    gradients and Hessians taken once per point from omega's eigensystem and
-    the inverse of omega^{T_B}, then multiplies t by mu = _BARRIER_GROWTH,
-    starting from t = _BARRIER_START. That is a power of mu, so the path
-    still stops at the same t as one started from t = 1, and its final
-    centred point, the unique minimizer at that t, is the same.
-    Each trace row is one centring step; at a centred point S(rho || omega)
+    steps on t H_obj + H_bar. Each Newton system is built in one pass over
+    Liouville space from the eigensystems of omega and omega^{T_B}. Then t is
+    multiplied by mu = _BARRIER_GROWTH, starting from t = _BARRIER_START.
+    That is a power of mu, so the path still stops at the same t as one
+    started from t = 1, and its final centred point, the unique minimizer
+    at that t, is the same.
+
+    Each trace row is one centring step. At a centred point S(rho || omega)
     exceeds the PPT minimum by at most nu / t, nu = 2d (two log-det barriers
-    on d x d blocks), the recorded gap, and the run is "converged" once that
-    gap is within opts.gap_tol. At a boundary optimum (rank-deficient rho or
-    omega^{T_B}) the centre moves like x* + c / t and the value's own excess
-    is about nu / (2t), so the path runs on until nu / t <= gap_tol /
-    _BARRIER_MARGIN unless max_iter stops it first. The next centring step
-    starts from that model's x(t) + (1 - 1/mu) t dx/dt, with
-    dx/dt = -(t H_obj + H_bar)^{-1} g_obj from the last solve at t, if that
-    point is strictly feasible and no worse at mu t, else from x(t). A
-    centring step fails once a full step no longer lowers the decrement; one
-    that fails before convergence ends the run as "stalled";
-    one that fails after it ends the run at the last centred point. On 2x2
-    ``_product_split`` turns the final iterate into product kets and the
-    value is S(rho || argmin); on 2x3 and 3x2 the value is S(rho || omega)
-    at the final iterate, with no argmin.
+    on d x d blocks). A step with nu / t <= opts.gap_tol can certify: it
+    centres to a Newton decrement of _NEWTON_DECREMENT_TOL, records nu / t
+    as its gap, and makes the run "converged". Any other step stops at a
+    decrement of _LOOSE_DECREMENT, never makes the run "converged", and
+    records f - LB, with LB = f + 1 + lambda_min(G - Z_1 - Z_2^{T_B}) a lower
+    bound on E_RE^PPT at any strictly feasible omega: f = S(rho || omega) is
+    convex with gradient G, <G, omega> = -1, and Z_1 = omega^{-1} / t and
+    Z_2 = (omega^{T_B})^{-1} / t have <Z_1, tau> >= 0 and <Z_2^{T_B}, tau> >= 0
+    on every PPT state tau. At an exact centre LB = f - nu / t.
+
+    At a boundary optimum (rank-deficient rho or omega^{T_B}) the centre
+    moves like x* + c / t and the value's own excess is about nu / (2t), so
+    the path runs on until nu / t <= gap_tol / _BARRIER_MARGIN unless
+    max_iter stops it first. The next centring step starts from that model's
+    x(t) + (1 - 1/mu) t dx/dt, with dx/dt = -(t H_obj + H_bar)^{-1} g_obj
+    from the last solve at t, if that point is strictly feasible and no
+    worse at mu t, else from x(t). A centring step fails once a full step no
+    longer lowers the decrement; one that fails before convergence ends the
+    run as "stalled"; one that fails after it ends the run at the last
+    centred point. On 2x2 ``_product_split`` turns the final iterate into
+    product kets and the value is S(rho || argmin); on 2x3 and 3x2 the value
+    is S(rho || omega) at the final iterate, with no argmin.
     """
     d = dims[0] * dims[1]
     basis = _traceless_basis(d)
-    basis_pt = _partial_transpose(basis, dims)
     n = len(basis)
+    basis_cols = basis.reshape(n, -1).T  # vec(B_a) and below vec(B_a^{T_B}) as columns
+    basis_pt_cols = _partial_transpose(basis, dims).reshape(n, -1).T
+    diagonal = np.arange(d) * (d + 1)
+    ik, scatter = _triple_indices(d)[3:]
     centre = np.eye(d, dtype=complex) / d
     nu = 2.0 * d
 
@@ -596,24 +614,36 @@ def _ppt_barrier(rho: np.ndarray, s_rho: float, dims: tuple[int, int],
             return None
         return _objective(rho, s_rho, w, u), -np.log(w).sum() - np.log(w_pt).sum(), omega, omega_pt, w, u
 
+    def rotated(u: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        # vec(U^dag X U) = (U^dag (x) U^T) vec(X), the Kronecker product by broadcasting
+        return (u.conj().T[:, None, :, None] * u.T[None, :, None, :]).reshape(d * d, d * d) @ cols
+
     def derivatives(point) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        # in omega's eigenbasis, objective: grad_a = -tr(rho D ln[omega](B_a)), Hessian
-        # from D^2 ln[X, Y]_ik = sum_j ln[w_i, w_j, w_k] (X_ij Y_jk + Y_ij X_jk) as a
-        # batch of (a, i) @ (i, k) products per j; each log det: -tr(S_a) and
-        # tr(S_a S_b), S_a = w^{-1/2} B_a w^{-1/2} or (omega^{T_B})^{-1} B_a^{T_B}
+        # in Liouville space over omega's eigenbasis, with b the rotated basis columns
+        # and R = U^dag rho U: grad_a = -tr(B_a D ln[omega](rho)) and Hessian
+        # -(b^T K b + transpose), K[(i, j), (j, k)] = ln[w_i, w_j, w_k] R_ki; each log
+        # det gives -tr(S_a) and Re(S^dag S), S_a = w^{-1/2} V^dag X_a V w^{-1/2} over
+        # the eigensystem (w, V) of omega or omega^{T_B}, X_a = B_a or B_a^{T_B}
         _, _, _, omega_pt, w, u = point
-        b_eig = u.conj().T @ basis @ u
-        rho_eig = (u.conj().T @ rho @ u).T
+        w_pt, v = np.linalg.eigh(omega_pt)
+        b_eig = rotated(u, basis_cols)
+        r = u.conj().T @ rho @ u
         loewner = _log_dd1(w[:, None], w[None, :])
-        g_obj = -(b_eig.reshape(n, -1) @ (loewner * rho_eig).reshape(-1)).real
-        weight = _log_dd2(w, loewner) * rho_eig[:, None, :]
-        by_j = (b_eig.transpose(2, 0, 1) @ weight.transpose(1, 0, 2)).transpose(1, 0, 2)
-        k = by_j.reshape(n, -1) @ b_eig.reshape(n, -1).T
-        g_bar, h_bar = np.zeros(n), np.zeros((n, n))
-        for s_a in (b_eig / np.sqrt(np.outer(w, w)), np.linalg.inv(omega_pt) @ basis_pt):
-            g_bar -= np.trace(s_a, axis1=1, axis2=2).real
-            h_bar += (s_a.reshape(n, -1) @ s_a.swapaxes(1, 2).reshape(n, -1).T).real
-        return g_obj, -(k + k.T).real, g_bar, h_bar
+        g_obj = -(b_eig.T @ (loewner * r.T).reshape(-1)).real
+        k = np.zeros(d**4, dtype=complex)
+        k[scatter] = _log_dd2(w, loewner) * r.reshape(-1)[ik]
+        k = b_eig.T @ k.reshape(d * d, d * d) @ b_eig
+        s = np.concatenate([b_eig / np.sqrt(np.outer(w, w)).reshape(-1, 1),
+                            rotated(v, basis_pt_cols) / np.sqrt(np.outer(w_pt, w_pt)).reshape(-1, 1)])
+        g_bar = -(s[diagonal] + s[d * d + diagonal]).sum(axis=0).real
+        return g_obj, -(k + k.T).real, g_bar, (s.conj().T @ s).real
+
+    def dual_gap(point, t: float) -> float:
+        # f - LB at any strictly feasible omega, LB = f + 1 + lambda_min(G - Z_1 - Z_2^{T_B})
+        # with G = -D ln[omega](rho), Z_1 = omega^{-1} / t and Z_2 = (omega^{T_B})^{-1} / t
+        _, _, omega, omega_pt, w, u = point
+        z = np.linalg.inv(omega) + _partial_transpose(np.linalg.inv(omega_pt), dims)
+        return -1.0 - float(np.linalg.eigvalsh(-_neg_gradient(rho, w, u) - z / t)[0])
 
     x, t = np.zeros(n), _BARRIER_START
     point = evaluate(x)
@@ -621,6 +651,8 @@ def _ppt_barrier(rho: np.ndarray, s_rho: float, dims: tuple[int, int],
     trace: list[tuple[int, float, float]] = []
     status = "iteration-cap"
     for it in range(opts.max_iter + 1):
+        certifying = nu / t <= opts.gap_tol
+        tol = _NEWTON_DECREMENT_TOL if certifying else _LOOSE_DECREMENT
         centred, last = False, math.inf
         for _ in range(_NEWTON_STEPS):
             g_obj, h_obj, g_bar, h_bar = derivs
@@ -630,7 +662,7 @@ def _ppt_barrier(rho: np.ndarray, s_rho: float, dims: tuple[int, int],
             except np.linalg.LinAlgError:
                 break
             decrement = float(-grad @ step)
-            if decrement <= _NEWTON_DECREMENT_TOL:
+            if decrement <= tol:
                 centred = True
                 break
             if decrement < _FULL_STEP_DECREMENT and decrement >= last:
@@ -648,17 +680,16 @@ def _ppt_barrier(rho: np.ndarray, s_rho: float, dims: tuple[int, int],
                 break
             x, point = x + alpha * step, trial
             derivs = derivatives(point)
-        gap = nu / t
         if not centred and status == "converged":
             break
         final = point
-        trace.append((it, point[0], gap))
+        trace.append((it, point[0], nu / t if certifying else dual_gap(point, t)))
         if not centred:
             status = "stalled"
             break
-        if gap <= opts.gap_tol:
+        if certifying:
             status = "converged"
-        if gap <= opts.gap_tol / _BARRIER_MARGIN or it == opts.max_iter:
+        if nu / t <= opts.gap_tol / _BARRIER_MARGIN or it == opts.max_iter:
             break
         x_ext = x + (1.0 - 1.0 / _BARRIER_GROWTH) * t * tangent
         t *= _BARRIER_GROWTH

@@ -706,6 +706,9 @@ class TestBarrierWork:
     and 68 / 57 / 57 solves; each count must stay within two thirds of that.
     Starting the path at t = 100 instead of 1 took them from 42 / 33 / 40
     evaluations and 38 / 32 / 37 solves to 35 / 26 / 34 and 31 / 23 / 30.
+    Centring loosely while nu/t cannot certify took the solves to 24 / 20 /
+    23 and the evaluations to 30 / 31 / 28; the eigvalsh count adds one per
+    loose row, for its dual bound, so it reads 34 / 35 / 31.
     The barrier is called directly, since relative_entropy_of_entanglement
     takes pure states to the closed form."""
 
@@ -744,6 +747,25 @@ class TestBarrierWork:
         assert linalg.calls.get("solve", 0) == 0
 
 
+    def test_uncertified_wishart_states_average_at_most_26_solves(self, monkeypatch):
+        # centred fully at every t these ten took 31.5 solves per call on
+        # average, and 22.4 with the loose steps
+        gen, states = rng(70), []
+        while len(states) < 10:
+            rho = random_two_qubit_mixed(gen, 2 + len(states) % 3)
+            s_rho = von_neumann_entropy(rho).nats
+            certified = entanglement._entangled_fraction_ere(rho.matrix, s_rho)
+            if min_pt_eigenvalue(rho.matrix) >= 0.0 or (
+                    certified is not None and certified.convergence[-1][2] <= SolverOptions().gap_tol):
+                continue
+            states.append((rho.matrix, s_rho))
+        linalg = _CountingLinalg()
+        monkeypatch.setattr(entanglement, "np", _NumpyWithCountingLinalg(linalg))
+        for matrix, s_rho in states:
+            result = entanglement._ppt_barrier(matrix, s_rho, (2, 2), SolverOptions())
+            assert result.status == "converged"
+        assert linalg.calls["solve"] / len(states) <= 26
+
     @pytest.mark.parametrize("weights", RANK_TWO_BELL_WEIGHTS)
     def test_small_gap_tol_stops_at_the_rounding_floor(self, monkeypatch, weights):
         # at gap_tol 1e-7 the decrement of the t = 1e11 centring step stalls
@@ -759,6 +781,100 @@ class TestBarrierWork:
             assert result.status == "converged"
             assert -1e-12 <= result.value - exact <= result.convergence[-1][2]
             assert linalg.calls["solve"] <= 60
+
+
+def _direct_barrier(rho, opts):
+    return entanglement._ppt_barrier(rho.matrix, von_neumann_entropy(rho).nats, rho.space.dims, opts)
+
+
+def _row_nu_over_t(rho, it):
+    """nu / t at trace row it: nu = 2d, t = _BARRIER_START * _BARRIER_GROWTH^it."""
+    t = entanglement._BARRIER_START * entanglement._BARRIER_GROWTH**it
+    return 2.0 * rho.matrix.shape[0] / t
+
+
+def _bell_diagonal_in_a_frame(seed):
+    """An entangled Bell-diagonal state (lambda_max > 1/2) in a random local frame,
+    with its exact E_RE."""
+    gen = rng(seed)
+    weights = gen.dirichlet(np.ones(4))
+    while weights.max() <= 0.5:
+        weights = gen.dirichlet(np.ones(4))
+    return local_frame(bell_diagonal(weights), gen), bell_diagonal_ere(weights)
+
+
+def _assert_rows_honest(result, rho, exact, gap_tol):
+    """Every row's gap bounds its objective's excess over E_RE, and only a row
+    whose nu/t is within gap_tol may certify the run."""
+    for _, value, gap in result.convergence:
+        assert value - exact <= gap + 1e-12
+    if result.status == "converged":
+        assert _row_nu_over_t(rho, result.convergence[-1][0]) <= gap_tol
+
+
+class TestBarrierRows:
+    """Rows on which nu/t > gap_tol are centred only to _LOOSE_DECREMENT and
+    carry the dual gap f - LB, LB = f + 1 + lambda_min(G - Z_1 - Z_2^{T_B});
+    certifying rows are centred fully and carry nu/t. On Bell-diagonal
+    states, in any local frame or carried into 2x3, E_RE is exact, so each
+    row's bound is checked against it."""
+
+    @pytest.mark.parametrize("gap_tol", [1e-3, 1e-5, 1e-7])
+    @pytest.mark.parametrize("seed", range(71, 75))
+    def test_rows_bound_the_excess_in_local_frames(self, seed, gap_tol):
+        rho, exact = _bell_diagonal_in_a_frame(seed)
+        opts = SolverOptions(gap_tol=gap_tol)
+        result = _direct_barrier(rho, opts)
+        assert result.status == "converged"
+        assert _row_nu_over_t(rho, 0) > gap_tol  # the first row is a loose one
+        _assert_rows_honest(result, rho, exact, gap_tol)
+
+    @pytest.mark.parametrize("weights", [(0.8, 0.1, 0.05, 0.05), (0.6, 0.2, 0.1, 0.1)]
+                             + RANK_TWO_BELL_WEIGHTS)
+    def test_rows_bound_the_excess_on_embedded_states(self, weights):
+        opts = SolverOptions(gap_tol=1e-5)
+        exact = bell_diagonal_ere(weights)
+        for rho in embedded_rank_two_bell_diagonal(weights):
+            result = _direct_barrier(rho, opts)
+            assert result.status == "converged"
+            _assert_rows_honest(result, rho, exact, opts.gap_tol)
+
+    @pytest.mark.parametrize("seed", range(71, 75))
+    def test_dual_bound_at_a_full_centre_is_nu_over_t(self, monkeypatch, seed):
+        # centred fully, LB = f - nu/t; the rows at t <= 1e4 are loose at
+        # gap_tol 1e-7 and so carry the dual gap
+        monkeypatch.setattr(entanglement, "_LOOSE_DECREMENT", entanglement._NEWTON_DECREMENT_TOL)
+        rho, _ = _bell_diagonal_in_a_frame(seed)
+        result = _direct_barrier(rho, SolverOptions(gap_tol=1e-7))
+        assert result.status == "converged"
+        rows = [(it, gap) for it, _, gap in result.convergence if it <= 2]
+        assert len(rows) == 3
+        for it, gap in rows:
+            assert gap == pytest.approx(_row_nu_over_t(rho, it), rel=1e-3)
+
+    @pytest.mark.parametrize("gap_tol", [1e-3, 1e-5, 1e-7])
+    def test_loose_centring_keeps_the_final_point(self, monkeypatch, gap_tol):
+        # the certifying steps centre fully from wherever the loose ones left
+        # the path, so only the loose rows move
+        rho = random_two_qubit_mixed(rng(76), 3)
+        opts = SolverOptions(gap_tol=gap_tol)
+        loose = _direct_barrier(rho, opts)
+        monkeypatch.setattr(entanglement, "_LOOSE_DECREMENT", entanglement._NEWTON_DECREMENT_TOL)
+        full = _direct_barrier(rho, opts)
+        assert loose.status == full.status == "converged"
+        assert len(loose.convergence) == len(full.convergence)
+        assert loose.convergence[-1][2] == full.convergence[-1][2]
+        assert abs(loose.value - full.value) <= 1e-13
+
+    def test_iteration_cap_on_a_loose_row(self):
+        rho, exact = _bell_diagonal_in_a_frame(71)
+        opts = SolverOptions(max_iter=1, gap_tol=1e-12)
+        result = _direct_barrier(rho, opts)
+        assert result.status == "iteration-cap"
+        assert len(result.convergence) == 2
+        assert all(_row_nu_over_t(rho, it) > opts.gap_tol for it, _, _ in result.convergence)
+        _assert_rows_honest(result, rho, exact, opts.gap_tol)
+        assert result.value - exact <= result.convergence[-1][2] + 1e-12
 
 
 def _unitary_from(entries, d):
@@ -1109,6 +1225,15 @@ class TestSeparableMixture:
         mixture = SeparableMixture(tuple(random_product_terms(gen, 2, 3, 4)))
         state = assemble(mixture)
         assert state.space.dims == (2, 3)
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
+    def test_matrix_is_the_sum_of_outer_products(self, dims):
+        gen = rng(77)
+        for n_terms in (1, 4, 9):
+            mixture = SeparableMixture(tuple(random_product_terms(gen, *dims, n_terms)))
+            expected = sum(w * np.outer(np.kron(ka, kb), np.kron(ka, kb).conj())
+                           for w, ka, kb in mixture.terms)
+            assert np.max(np.abs(mixture.matrix() - expected)) <= 1e-15
 
     def test_maximally_mixed_assembly(self):
         mixture = SeparableMixture.maximally_mixed((2, 2))

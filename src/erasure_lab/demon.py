@@ -6,11 +6,15 @@ cycle (encode, weighted unitary errors applied in Kraus form, observation by an
 apparatus, conditional recovery, and a garbage-can swap reset). Both emit an
 EntropyLedger whose columns track the system, apparatus and garbage-can
 entropy changes per step, in nats with k_B = 1.
+
+A QecScenario keeps its error operators, weights and apparatus records as
+stacked arrays, so a cycle runs every branch, the readout and the recovery as
+array contractions.
 """
 
 from __future__ import annotations
 
-import io
+import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,14 +87,10 @@ class EntropyLedger:
         return problems
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write(CSV_HEADER + "\n")
-        for i, s in enumerate(self.steps, start=1):
-            buf.write(
-                f"{i},{s.name},{s.ds_system:.12g},{s.ds_apparatus:.12g},"
-                f"{s.ds_garbage:.12g},{s.df:.12g},{s.info_gain:.12g}\n"
-            )
-        return buf.getvalue()
+        rows = (f"{i},{s.name},{s.ds_system:.12g},{s.ds_apparatus:.12g},"
+                f"{s.ds_garbage:.12g},{s.df:.12g},{s.info_gain:.12g}"
+                for i, s in enumerate(self.steps, start=1))
+        return "\n".join((CSV_HEADER, *rows)) + "\n"
 
     def to_json(self) -> dict:
         return {
@@ -158,25 +158,21 @@ def equal_overlap_states(n: int, overlap: float, dim: int | None = None) -> list
     gram = (1.0 - overlap) * np.eye(n) + overlap * np.ones((n, n))
     lam, vecs = hermitian_eig(gram)
     root = (vecs * np.sqrt(np.clip(lam, 0.0, None))) @ vecs.conj().T
-    states = []
-    for i in range(n):
-        v = np.zeros(dim, dtype=complex)
-        v[:n] = root[:, i]
-        states.append(v)
-    return states
+    states = np.zeros((n, dim), dtype=complex)
+    states[:, :n] = root.T
+    return list(states)
 
 
-def _pairwise_overlap(states: list[np.ndarray], tol: float = 1e-9) -> float:
-    if len(states) < 2:
+def _pairwise_overlap(gram: np.ndarray, tol: float = 1e-9) -> float:
+    """The common |<m_i|m_j>|, i != j, of the records with Gram matrix ``gram``."""
+    n = len(gram)
+    if n < 2:
         return 0.0
-    values = []
-    for i in range(len(states)):
-        for j in range(i + 1, len(states)):
-            values.append(abs(np.vdot(states[i], states[j])))
-    a = values[0]
-    if max(abs(v - a) for v in values) > tol:
-        raise InputError(f"apparatus overlaps are not all equal: {values}")
-    return float(a)
+    values = np.abs(gram[~np.eye(n, dtype=bool)])  # row-major, so values[0] = |<m_0|m_1>|
+    if np.abs(values - values[0]).max() > tol:
+        upper = list(np.abs(gram[np.triu_indices(n, 1)]))
+        raise InputError(f"apparatus overlaps are not all equal: {upper}")
+    return float(values[0])
 
 
 @dataclass(frozen=True)
@@ -184,7 +180,9 @@ class QecScenario:
     """Code words, an input state on the logical space, weighted unitary errors
     and the apparatus states that record which error occurred.
 
-    ``overlap`` is the common |<m_i|m_j>| that validation checks.
+    ``overlap`` is the common |<m_i|m_j>| that validation checks. The stacks
+    ``kraus`` (n, d, d), ``weights`` (n,) and ``records`` (n, m) are derived
+    by validation and read-only; ``errors`` and ``apparatus_states`` view them.
     """
 
     codewords: tuple[np.ndarray, ...]
@@ -192,48 +190,49 @@ class QecScenario:
     errors: tuple[tuple[np.ndarray, float], ...]
     apparatus_states: tuple[np.ndarray, ...]
     overlap: float = field(init=False)
+    kraus: np.ndarray = field(init=False, repr=False, compare=False)
+    weights: np.ndarray = field(init=False, repr=False, compare=False)
+    records: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "codewords", tuple(np.asarray(c, dtype=complex).reshape(-1) for c in self.codewords)
-        )
-        object.__setattr__(
-            self,
-            "errors",
-            tuple((np.asarray(e, dtype=complex), float(w)) for e, w in self.errors),
-        )
-        object.__setattr__(
-            self,
-            "apparatus_states",
-            tuple(np.asarray(m, dtype=complex).reshape(-1) for m in self.apparatus_states),
-        )
-        for kind, vecs in (("code words", self.codewords), ("apparatus states", self.apparatus_states)):
+        if len(self.codewords) == 0 or len(self.errors) == 0:
+            raise InputError("need at least one code word and one error operator")
+        stacks = {}
+        for name, kind in (("codewords", "code words"), ("apparatus_states", "apparatus states")):
+            vecs = [np.asarray(v, dtype=complex).reshape(-1) for v in getattr(self, name)]
             if len({v.size for v in vecs}) > 1:
                 raise InputError(f"{kind} must share one length, got {[v.size for v in vecs]}")
-        d = self.codewords[0].size
-        v = np.column_stack(self.codewords)
-        gram = v.conj().T @ v
-        if np.max(np.abs(gram - np.eye(len(self.codewords)))) > 1e-9:
+            stacks[name] = np.array(vecs, dtype=complex)
+        codes, records = stacks["codewords"], stacks["apparatus_states"]
+        k, d = codes.shape
+        if np.max(np.abs(codes.conj() @ codes.T - np.eye(k))) > 1e-9:
             raise InputError("code words are not orthonormal")
-        if self.input_state.dim != len(self.codewords):
+        if self.input_state.dim != k:
             raise InputError(
                 f"input state dimension {self.input_state.dim} must equal the number "
-                f"of code words {len(self.codewords)}"
+                f"of code words {k}"
             )
-        weights = np.array([w for _, w in self.errors])
+        weights = np.array([float(w) for _, w in self.errors])
         if not (weights.min() >= -1e-12 and abs(weights.sum() - 1.0) <= 1e-9):  # also rejects NaN
             raise InputError(f"error weights must be a probability vector, got {weights}")
-        for e, _ in self.errors:
+        ops = [np.asarray(e, dtype=complex) for e, _ in self.errors]
+        for e in ops:
             if e.shape != (d, d):
                 raise InputError(f"error operator shape {e.shape} does not match system dim {d}")
-            if np.max(np.abs(e.conj().T @ e - np.eye(d))) > 1e-9:
-                raise InputError("error operators must be unitary (recovery applies E^dag)")
-        if len(self.apparatus_states) != len(self.errors):
+        kraus = np.array(ops)
+        if np.max(np.abs(kraus.conj().swapaxes(1, 2) @ kraus - np.eye(d))) > 1e-9:
+            raise InputError("error operators must be unitary (recovery applies E^dag)")
+        if len(records) != len(ops):
             raise InputError("need one apparatus state per error operator")
-        for m in self.apparatus_states:
-            if abs(np.linalg.norm(m) - 1.0) > 1e-9:
-                raise InputError("apparatus states must be unit vectors")
-        object.__setattr__(self, "overlap", _pairwise_overlap(list(self.apparatus_states)))
+        if np.max(np.abs(np.linalg.norm(records, axis=1) - 1.0)) > 1e-9:
+            raise InputError("apparatus states must be unit vectors")
+        for a in (codes, kraus, weights, records):
+            a.flags.writeable = False
+        derived = {"codewords": tuple(codes), "errors": tuple(zip(kraus, weights.tolist())),
+                   "apparatus_states": tuple(records), "kraus": kraus, "weights": weights,
+                   "records": records, "overlap": _pairwise_overlap(records.conj() @ records.T)}
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     @property
     def system_dim(self) -> int:
@@ -276,30 +275,22 @@ def _measurement_probabilities(scenario: QecScenario) -> np.ndarray:
     two-record observation uses the optimal two-outcome (Helstrom)
     discrimination; anything else is not simulated.
     """
-    states = scenario.apparatus_states
-    n = len(states)
-    a = scenario.overlap
-    if a <= 1e-9:
-        m = np.column_stack(states)
-        return np.abs(m.conj().T @ m) ** 2
-    if n != 2:
+    m = scenario.records
+    if scenario.overlap <= 1e-9:
+        return np.abs(m.conj() @ m.T) ** 2
+    if len(m) != 2:
         raise UnsupportedScenarioError(
             "imperfect observation is only modeled for two error branches"
         )
-    p1, p2 = (w for _, w in scenario.errors)
-    m1, m2 = states
-    gamma = p1 * np.outer(m1, m1.conj()) - p2 * np.outer(m2, m2.conj())
+    # Helstrom: project onto the positive part of p1 |m1><m1| - p2 |m2><m2|.
+    gamma = np.einsum("ia,ib,i->ab", m, m.conj(), scenario.weights * [1.0, -1.0])
     lam, vecs = hermitian_eig(gamma)
     if np.max(np.abs(lam)) <= 1e-12:
         return np.full((2, 2), 0.5)
     pos = vecs[:, lam > 1e-12]
     pi1 = pos @ pos.conj().T
-    pi2 = np.eye(len(m1)) - pi1
-    probs = np.empty((2, 2))
-    for i, m in enumerate((m1, m2)):
-        probs[0, i] = float(np.real(m.conj() @ pi1 @ m))
-        probs[1, i] = float(np.real(m.conj() @ pi2 @ m))
-    return np.clip(probs, 0.0, 1.0)
+    readout = np.stack((pi1, np.eye(len(pi1)) - pi1))
+    return np.clip(np.einsum("ia,kab,ib->ki", m.conj(), readout, m).real, 0.0, 1.0)
 
 
 def qec_cycle(scenario: QecScenario) -> QecCycleResult:
@@ -310,8 +301,9 @@ def qec_cycle(scenario: QecScenario) -> QecCycleResult:
     recover conditioned on the apparatus readout, and finally swap the
     apparatus into a garbage can.
     """
-    d = scenario.system_dim
-    m_dim = scenario.apparatus_dim
+    d, m_dim = scenario.system_dim, scenario.apparatus_dim
+    kraus, p, records = scenario.kraus, scenario.weights, scenario.records
+    kraus_dag = kraus.conj().swapaxes(1, 2)
 
     v = scenario.encoder
     rho_c = v @ scenario.input_state.matrix @ v.conj().T
@@ -320,31 +312,22 @@ def qec_cycle(scenario: QecScenario) -> QecCycleResult:
     s_initial = von_neumann_entropy(encoded).nats
 
     # The error channel in Kraus form: branch i is E_i rho_c E_i^dag, with weight p_i.
-    branches = [e_op @ rho_c @ e_op.conj().T for e_op, _ in scenario.errors]
-    weights = [p for _, p in scenario.errors]
-    rho_f = sum(p * b for p, b in zip(weights, branches))
+    branches = kraus @ rho_c @ kraus_dag
+    weighted = p[:, None, None] * branches
+    rho_f = weighted.sum(axis=0)
     s_error = von_neumann_entropy(DensityOperator(space_s, rho_f)).nats
 
-    # Observation correlates the apparatus with the error branch.
-    space_sa = TensorSpace.of(("S", d), ("A", m_dim))
-    rho_sa = sum(
-        p * np.kron(b, np.outer(m, m.conj()))
-        for p, b, m in zip(weights, branches, scenario.apparatus_states)
-    )
-    joint = DensityOperator(space_sa, rho_sa)
-    rho_a = sum(p * np.outer(m, m.conj()) for p, m in zip(weights, scenario.apparatus_states))
-    apparatus = DensityOperator(TensorSpace.single("A", m_dim), rho_a)
+    # Observation correlates the apparatus with the error branch: record i is |m_i><m_i|.
+    marks = records[:, :, None] * records.conj()[:, None, :]
+    rho_sa = np.einsum("iab,icd->acbd", weighted, marks).reshape(d * m_dim, d * m_dim)
+    joint = DensityOperator(TensorSpace.of(("S", d), ("A", m_dim)), rho_sa)
+    apparatus = DensityOperator(TensorSpace.single("A", m_dim), np.einsum("i,iab->ab", p, marks))
     info_gain = mutual_information(joint, ({"S"}, {"A"})).nats
     s_apparatus = von_neumann_entropy(apparatus).nats
 
-    # Conditional recovery weighted by the apparatus readout statistics.
-    probs = _measurement_probabilities(scenario)
-    rho_rec = np.zeros_like(rho_c)
-    for i, (b, p) in enumerate(zip(branches, weights)):
-        for j, (e_op, _) in enumerate(scenario.errors):
-            if probs[j, i] == 0.0:
-                continue
-            rho_rec += p * probs[j, i] * (e_op.conj().T @ b @ e_op)
+    # Conditional recovery: readout j applies E_j^dag to sum_i p_i P[j, i] b_i.
+    guided = np.einsum("ji,iab->jab", _measurement_probabilities(scenario), weighted)
+    rho_rec = (kraus_dag @ guided @ kraus).sum(axis=0)
     rho_rec = (rho_rec + rho_rec.conj().T) / 2.0
     rho_rec /= np.trace(rho_rec).real
     recovered = DensityOperator(space_s, rho_rec)
@@ -355,7 +338,7 @@ def qec_cycle(scenario: QecScenario) -> QecCycleResult:
         LedgerStep(
             "error",
             ds_system=s_error - s_initial,
-            note="weighted errors recorded by orthonormal environment states",
+            note="weighted unitary errors applied as the Kraus channel sum_i p_i E_i rho E_i^dag",
         ),
         LedgerStep("trace-environment", note="bookkeeping only; no physical change"),
         LedgerStep(
@@ -377,12 +360,8 @@ def qec_cycle(scenario: QecScenario) -> QecCycleResult:
             note="apparatus swapped into the garbage can",
         ),
     )
-    return QecCycleResult(
-        ledger=EntropyLedger(steps),
-        recovery_fidelity=fidelity,
-        gc_entropy=s_apparatus,
-        info_gain=info_gain,
-    )
+    return QecCycleResult(ledger=EntropyLedger(steps), recovery_fidelity=fidelity,
+                          gc_entropy=s_apparatus, info_gain=info_gain)
 
 
 @dataclass(frozen=True)
@@ -402,30 +381,21 @@ def recovery_fidelity_vs_overlap(template: QecScenario, overlaps) -> list[Overla
     """
     if len(template.errors) != 2:
         raise InputError("the overlap sweep needs a two-error scenario template")
-    w1, w2 = (w for _, w in template.errors)
+    w1, w2 = template.weights.tolist()
     if abs(w1 - w2) > 1e-9:
         raise InputError(f"apparatus records must carry equal weights, got {w1}, {w2}")
     rows = []
     for a in overlaps:
         states = equal_overlap_states(2, float(a), dim=template.apparatus_dim)
-        scenario = QecScenario(
-            codewords=template.codewords,
-            input_state=template.input_state,
-            errors=template.errors,
-            apparatus_states=tuple(states),
-        )
-        result = qec_cycle(scenario)
-        rows.append(
-            OverlapSweepRow(
-                overlap=float(a),
-                fidelity=result.recovery_fidelity,
-                erasure_entropy=result.gc_entropy,
-            )
-        )
+        result = qec_cycle(dataclasses.replace(template, apparatus_states=tuple(states)))
+        rows.append(OverlapSweepRow(float(a), result.recovery_fidelity, result.gc_entropy))
     return rows
 
 
-_PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+_PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
+# The identity, then a bit flip on each of the three qubits.
+_BIT_FLIP_ERRORS = np.array([np.eye(8)] + [np.kron(np.kron(np.eye(2**k), _PAULI_X), np.eye(4 // 2**k))
+                                           for k in range(3)], dtype=complex)
 
 
 def three_qubit_bit_flip_scenario(input_state: DensityOperator | np.ndarray,
@@ -437,17 +407,7 @@ def three_qubit_bit_flip_scenario(input_state: DensityOperator | np.ndarray,
     Passing fewer than four weights keeps only the leading error operators
     (identity first), which is how the two-error sweep template is built.
     """
-    c0 = np.zeros(8, dtype=complex)
-    c0[0] = 1.0
-    c1 = np.zeros(8, dtype=complex)
-    c1[7] = 1.0
-    eye2 = np.eye(2, dtype=complex)
-    ops = [
-        np.eye(8, dtype=complex),
-        np.kron(np.kron(_PAULI_X, eye2), eye2),
-        np.kron(np.kron(eye2, _PAULI_X), eye2),
-        np.kron(np.kron(eye2, eye2), _PAULI_X),
-    ][: len(weights)]
+    ops = _BIT_FLIP_ERRORS[: len(weights)]
     if len(ops) != len(weights):
         raise InputError("at most four error weights are supported by this code")
     if not isinstance(input_state, DensityOperator):
@@ -455,8 +415,8 @@ def three_qubit_bit_flip_scenario(input_state: DensityOperator | np.ndarray,
                                                TensorSpace.single("L", 2))
     states = equal_overlap_states(len(weights), overlap)
     return QecScenario(
-        codewords=(c0, c1),
+        codewords=tuple(np.eye(8)[[0, 7]]),
         input_state=input_state,
-        errors=tuple((op, w) for op, w in zip(ops, weights)),
+        errors=tuple(zip(ops, weights)),
         apparatus_states=tuple(states),
     )

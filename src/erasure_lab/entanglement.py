@@ -37,7 +37,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .entropy import EntropyValue, binary_entropy, cross_term_eig, shannon_entropy, von_neumann_entropy
+from .entropy import (EntropyValue, binary_entropy, cross_term_eig, shannon_entropy,
+                      spectrum_entropy, von_neumann_entropy)
 from .errors import InputError
 # hermitian_eig is not called here; the benchmark tracer patches it by name.
 from .linalg import EIG_FLOOR, DensityOperator, hermitian_eig  # noqa: F401
@@ -839,12 +840,8 @@ def _branch_cost(y: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
     c = y.reshape(y.shape[:-1] + (d_a, d_b))
     p = np.sum(np.abs(y) ** 2, axis=-1)
     sv = np.linalg.svd(c, compute_uv=False)
-    sq = sv**2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        q = sq / np.where(p[..., None] > 1e-15, p[..., None], 1.0)
-    q = np.clip(q, 0.0, 1.0)
-    ent = -np.sum(np.where(q > 0.0, q * np.log(np.where(q > 0.0, q, 1.0)), 0.0), axis=-1)
-    return np.sum(p * ent, axis=-1)
+    q = np.clip(sv**2 / np.where(p[..., None] > 1e-15, p[..., None], 1.0), 0.0, 1.0)
+    return np.sum(p * spectrum_entropy(q), axis=-1)
 
 
 def _random_isometries(gen: np.random.Generator, n: int, k: int, r: int) -> np.ndarray:

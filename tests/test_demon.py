@@ -189,6 +189,25 @@ class TestQecCycle:
         # the dilation psi -> sum_i sqrt(p_i) E_i V psi (x) |e_i> is an isometry
         assert oracle["total_entropy"] == pytest.approx(0.0, abs=1e-9)
 
+    def test_non_hermitian_errors_match_brute_force(self):
+        # bit flips are their own inverses; random unitaries tell E^dag from E
+        gen = np.random.default_rng(7)
+        g = gen.normal(size=(2, 4, 4)) + 1j * gen.normal(size=(2, 4, 4))
+        ops = [np.eye(4), *np.linalg.qr(g)[0]]
+        scenario = QecScenario(
+            codewords=tuple(np.eye(4)[:2]),
+            input_state=DensityOperator.from_ket(np.array([0.6, 0.8j])),
+            errors=tuple(zip(ops, (0.5, 0.3, 0.2))),
+            apparatus_states=tuple(equal_overlap_states(3, 0.0)),
+        )
+        result = qec_cycle(scenario)
+        oracle = brute_force_qec(scenario)
+        assert result.recovery_fidelity == pytest.approx(1.0, abs=1e-9)
+        assert result.recovery_fidelity == pytest.approx(oracle["fidelity"], abs=1e-9)
+        assert result.info_gain == pytest.approx(oracle["info_gain"], abs=1e-9)
+        assert result.ledger.steps[0].ds_system == pytest.approx(
+            oracle["s_error"] - oracle["s_initial"], abs=1e-9)
+
     def test_mixed_input_ledger(self):
         # equal mixture of the two logical basis states
         mixed = DensityOperator.from_matrix(np.eye(2) / 2, TensorSpace.single("L", 2))
@@ -271,16 +290,24 @@ class TestScenarioValidation:
 
     def test_unequal_overlaps_rejected(self):
         ket = np.array([1.0, 0.0])
-        scenario = three_qubit_bit_flip_scenario(ket, weights=(0.5, 0.5))
+        scenario = three_qubit_bit_flip_scenario(ket, weights=(0.5, 0.25, 0.25))
         e0 = np.array([1.0, 0.0, 0.0])
         e1 = np.array([0.6, 0.8, 0.0])
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="not all equal"):
             QecScenario(
                 codewords=scenario.codewords,
                 input_state=scenario.input_state,
                 errors=scenario.errors,
                 apparatus_states=(e0, e1, e1),
             )
+
+    @pytest.mark.parametrize("empty", ["codewords", "errors", "apparatus_states"])
+    def test_empty_lists_rejected(self, empty):
+        scenario = three_qubit_bit_flip_scenario(np.array([1.0, 0.0]))
+        fields = {"codewords": scenario.codewords, "input_state": scenario.input_state,
+                  "errors": scenario.errors, "apparatus_states": scenario.apparatus_states}
+        with pytest.raises(InputError):
+            QecScenario(**{**fields, empty: ()})
 
 
 class TestImperfectErasure:
@@ -346,6 +373,25 @@ class TestOverlapSweep:
             rows = recovery_fidelity_vs_overlap(template, [a])
             expected = 0.5 * (1 + math.sqrt(1 - a * a))
             assert rows[0].fidelity == pytest.approx(expected, abs=1e-9)
+
+    @pytest.mark.parametrize("p", [0.1, 0.3, 0.7])
+    def test_helstrom_unequal_priors(self, p):
+        # orthogonal branches: fidelity is the success probability of the optimal
+        # two-outcome measurement, (1 + sqrt(1 - 4 p (1 - p) a^2)) / 2
+        ket = np.array([1.0, 1.0]) / math.sqrt(2)
+        for a in (0.2, 0.6, 0.9):
+            scenario = three_qubit_bit_flip_scenario(ket, weights=(p, 1 - p), overlap=a)
+            expected = 0.5 * (1 + math.sqrt(1 - 4 * p * (1 - p) * a * a))
+            assert abs(qec_cycle(scenario).recovery_fidelity - expected) <= 1e-12
+
+    def test_overlaps_just_below_one(self, template):
+        overlaps = [1 - eps for eps in (1e-3, 1e-6, 1e-9, 1e-12)] + [1.0]
+        rows = recovery_fidelity_vs_overlap(template, overlaps)
+        fidelities = [r.fidelity for r in rows]
+        assert all(fidelities[i + 1] <= fidelities[i] for i in range(len(rows) - 1))
+        for a, row in zip(overlaps, rows):
+            assert abs(row.fidelity - 0.5 * (1 + math.sqrt(1 - a * a))) <= 1e-9
+            assert abs(row.erasure_entropy - h_bin((1 + a) / 2)) <= 1e-9
 
     def test_gc_entropy_shrinks_with_overlap(self, template):
         rows = recovery_fidelity_vs_overlap(template, [0.0, 0.4, 0.8])

@@ -111,8 +111,7 @@ def _demon_classical(args, payload, seed) -> int:
 def _demon_qec(args, payload, seed) -> int:
     scenario = scenario_mod.build_qec_scenario(payload)
     result = qec_cycle(scenario)
-    perfect_observation = scenario.overlap <= 1e-9
-    problems = result.ledger.check_cycle(require_system_closure=perfect_observation)
+    problems = result.ledger.check_cycle(require_system_closure=scenario.perfect_observation)
     csv_text = f"# seed={seed}\n" + result.ledger.to_csv()
     summary = {
         "recovery_fidelity": result.recovery_fidelity,

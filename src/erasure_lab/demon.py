@@ -163,13 +163,13 @@ def equal_overlap_states(n: int, overlap: float, dim: int | None = None) -> list
     return list(states)
 
 
-def _pairwise_overlap(gram: np.ndarray, tol: float = 1e-9) -> float:
+def _pairwise_overlap(gram: np.ndarray) -> float:
     """The common |<m_i|m_j>|, i != j, of the records with Gram matrix ``gram``."""
     n = len(gram)
     if n < 2:
         return 0.0
     values = np.abs(gram[~np.eye(n, dtype=bool)])  # row-major, so values[0] = |<m_0|m_1>|
-    if np.abs(values - values[0]).max() > tol:
+    if np.abs(values - values[0]).max() > 1e-9:
         upper = list(np.abs(gram[np.triu_indices(n, 1)]))
         raise InputError(f"apparatus overlaps are not all equal: {upper}")
     return float(values[0])
@@ -235,6 +235,10 @@ class QecScenario:
             object.__setattr__(self, name, value)
 
     @property
+    def perfect_observation(self) -> bool:  # records read out projectively; the cycle must close
+        return self.overlap <= 1e-9
+
+    @property
     def system_dim(self) -> int:
         return self.codewords[0].size
 
@@ -276,7 +280,7 @@ def _measurement_probabilities(scenario: QecScenario) -> np.ndarray:
     discrimination; anything else is not simulated.
     """
     m = scenario.records
-    if scenario.overlap <= 1e-9:
+    if scenario.perfect_observation:
         return np.abs(m.conj() @ m.T) ** 2
     if len(m) != 2:
         raise UnsupportedScenarioError(

@@ -320,12 +320,13 @@ def _log_dd1(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _triple_indices(d: int) -> tuple[np.ndarray, ...]:
-    """Flat index arrays over the d^3 triples (i, j, k) in C order: the three
-    entries of each triple in ascending order, then the position of R_ki in a
-    flattened d x d matrix and of [(i, j), (j, k)] in a flattened d^2 x d^2 one."""
+    """Index arrays over the d^3 triples (i, j, k) in C order: each triple's entries
+    ascending (3, d^3), the flat positions of its pairs (hi, mid) and (mid, lo) in a
+    d x d matrix (2, d^3), of R_ki in a d x d matrix and of [(i, j), (j, k)] in a d^2 x d^2 one."""
     i, j, k = np.indices((d, d, d)).reshape(3, -1)
     lo, mid, hi = np.sort([i, j, k], axis=0)
-    return lo, mid, hi, k * d + i, (i * d + j) * d * d + j * d + k
+    return (np.array([lo, mid, hi]), np.array([hi * d + mid, mid * d + lo]),
+            k * d + i, (i * d + j) * d * d + j * d + k)
 
 
 def _log_dd2(w: np.ndarray, loewner: np.ndarray) -> np.ndarray:
@@ -338,14 +339,14 @@ def _log_dd2(w: np.ndarray, loewner: np.ndarray) -> np.ndarray:
     their mean (through the fourth derivative) replaces the cancelling
     difference.
     """
-    i_lo, i_mid, i_hi = _triple_indices(w.size)[:3]
-    lo, mid, hi = w[i_lo], w[i_mid], w[i_hi]
+    ascending, pairs = _triple_indices(w.size)[:2]
+    lo, mid, hi = w[ascending]
     mean = (lo + mid + hi) / 3.0
     h2 = ((lo - mean) ** 2 + (mid - mean) ** 2 + (hi - mean) ** 2) / 2.0
-    series = -0.5 / mean**2 - h2 / (4.0 * mean**4)
-    wide = hi - lo > 1e-4 * mean
-    exact = (loewner[i_hi, i_mid] - loewner[i_mid, i_lo]) / np.where(wide, hi - lo, 1.0)
-    return np.where(wide, exact, series)
+    out = -0.5 / mean**2 - h2 / (4.0 * mean**4)
+    upper, lower = loewner.reshape(-1)[pairs]
+    np.divide(upper - lower, hi - lo, out=out, where=hi - lo > 1e-4 * mean)
+    return out
 
 
 def _neg_gradient(rho: np.ndarray, w: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -534,6 +535,7 @@ _NEWTON_DECREMENT_TOL = 1e-12
 _LOOSE_DECREMENT = 0.5       # where a step whose nu/t cannot certify stops centring
 _FULL_STEP_DECREMENT = 1e-4  # below it the whole Newton step is taken: near the
                              # centre, roundoff in t * S swamps the Armijo test
+_START_MARGIN = 0.3          # share of p I/d's PT margin the first point keeps
 
 
 def _partial_transpose(m: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
@@ -557,18 +559,27 @@ def _traceless_basis(d: int) -> np.ndarray:
     return np.array(out, dtype=complex)
 
 
+def _barrier_start(rho: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
+    """x_a = tr(B_a omega_0), omega_0 = (1 - p) rho + p I/d at the least p >= 0.1 (omega_0 > 0
+    for any rho) with lambda_min(omega_0^{T_B}) >= _START_MARGIN p / d; local-unitary covariant."""
+    lam = min(float(np.linalg.eigvalsh(_partial_transpose(rho, dims))[0]), 0.0)
+    p = max(-lam / ((1.0 - _START_MARGIN) / len(rho) - lam), 0.1)
+    return (1.0 - p) * (_traceless_basis(len(rho)).reshape(-1, rho.size).conj() @ rho.ravel()).real
+
+
 def _ppt_barrier(rho: np.ndarray, s_rho: float, dims: tuple[int, int],
                  opts: SolverOptions) -> EreResult:
     """E_RE over the PPT set by log-barrier path following.
 
     Minimizes t S(rho || omega) - ln det omega - ln det omega^{T_B} over
     trace-one omega = I/d + sum_a x_a B_a, d = d_A d_B, by damped Newton
-    steps on t H_obj + H_bar. Each Newton system is built in one pass over
-    Liouville space from the eigensystems of omega and omega^{T_B}. Then t is
-    multiplied by mu = _BARRIER_GROWTH, starting from t = _BARRIER_START.
-    That is a power of mu, so the path still stops at the same t as one
-    started from t = 1, and its final centred point, the unique minimizer
-    at that t, is the same.
+    steps on t H_obj + H_bar. Each point costs one stacked eigh of omega and
+    omega^{T_B}, whose eigensystems the objective, the Newton system (one pass
+    over Liouville space) and the dual gap share. The path starts at
+    ``_barrier_start``'s mix of rho and I/d and at t = _BARRIER_START, a power
+    of mu = _BARRIER_GROWTH, so it stops at the same t as one started from
+    t = 1; t is then multiplied by mu. Each centring step's minimizer is unique
+    and the certifying steps centre fully, so the start moves only loose rows.
 
     Each trace row is one centring step. At a centred point S(rho || omega)
     exceeds the PPT minimum by at most nu / t, nu = 2d (two log-det barriers
@@ -598,55 +609,51 @@ def _ppt_barrier(rho: np.ndarray, s_rho: float, dims: tuple[int, int],
     d = dims[0] * dims[1]
     basis = _traceless_basis(d)
     n = len(basis)
-    basis_cols = basis.reshape(n, -1).T  # vec(B_a) and below vec(B_a^{T_B}) as columns
-    basis_pt_cols = _partial_transpose(basis, dims).reshape(n, -1).T
+    rows = np.stack([basis, _partial_transpose(basis, dims)], 1).reshape(n, -1)  # B_a, B_a^{T_B}
+    cols = rows.reshape(n, 2, d * d).transpose(1, 2, 0).copy()  # the same, as two (d^2, n) blocks
     diagonal = np.arange(d) * (d + 1)
-    ik, scatter = _triple_indices(d)[3:]
+    ik, scatter = _triple_indices(d)[2:]
     centre = np.eye(d, dtype=complex) / d
     nu = 2.0 * d
 
     def evaluate(x: np.ndarray):
-        # (objective, log-det barrier, omega, omega^{T_B}, w, u), or None off the interior
-        omega = centre + (x @ basis.reshape(n, -1)).reshape(d, d)
-        omega_pt = _partial_transpose(omega, dims)
-        w, u = np.linalg.eigh(omega)
-        w_pt = np.linalg.eigvalsh(omega_pt)
-        if w[0] <= 0.0 or w_pt[0] <= 0.0:
+        # (objective, log-det barrier, omega, w, u); w[k], u[k] for omega, omega^{T_B}; None outside
+        pair = centre + (x @ rows).reshape(2, d, d)
+        w, u = np.linalg.eigh(pair)
+        if w[0, 0] <= 0.0 or w[1, 0] <= 0.0:
             return None
-        return _objective(rho, s_rho, w, u), -np.log(w).sum() - np.log(w_pt).sum(), omega, omega_pt, w, u
-
-    def rotated(u: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        # vec(U^dag X U) = (U^dag (x) U^T) vec(X), the Kronecker product by broadcasting
-        return (u.conj().T[:, None, :, None] * u.T[None, :, None, :]).reshape(d * d, d * d) @ cols
+        return _objective(rho, s_rho, w[0], u[0]), -np.log(w).sum(), pair[0], w, u
 
     def derivatives(point) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         # in Liouville space over omega's eigenbasis, with b the rotated basis columns
         # and R = U^dag rho U: grad_a = -tr(B_a D ln[omega](rho)) and Hessian
         # -(b^T K b + transpose), K[(i, j), (j, k)] = ln[w_i, w_j, w_k] R_ki; each log
         # det gives -tr(S_a) and Re(S^dag S), S_a = w^{-1/2} V^dag X_a V w^{-1/2} over
-        # the eigensystem (w, V) of omega or omega^{T_B}, X_a = B_a or B_a^{T_B}
-        _, _, _, omega_pt, w, u = point
-        w_pt, v = np.linalg.eigh(omega_pt)
-        b_eig = rotated(u, basis_cols)
-        r = u.conj().T @ rho @ u
-        loewner = _log_dd1(w[:, None], w[None, :])
+        # the eigensystem (w, V) of omega or omega^{T_B}, X_a = B_a or B_a^{T_B}, with
+        # vec(V^dag X V) = (V^dag (x) V^T) vec(X) for both pairs in one stacked product
+        _, _, _, w, u = point
+        ut = u.swapaxes(1, 2)
+        kron = (ut.conj()[:, :, None, :, None] * ut[:, None, :, None, :]).reshape(2, d * d, d * d)
+        b = kron @ cols
+        b_eig, r = b[0], u[0].conj().T @ rho @ u[0]
+        loewner = _log_dd1(w[0, :, None], w[0, None, :])
         g_obj = -(b_eig.T @ (loewner * r.T).reshape(-1)).real
         k = np.zeros(d**4, dtype=complex)
-        k[scatter] = _log_dd2(w, loewner) * r.reshape(-1)[ik]
+        k[scatter] = _log_dd2(w[0], loewner) * r.reshape(-1)[ik]
         k = b_eig.T @ k.reshape(d * d, d * d) @ b_eig
-        s = np.concatenate([b_eig / np.sqrt(np.outer(w, w)).reshape(-1, 1),
-                            rotated(v, basis_pt_cols) / np.sqrt(np.outer(w_pt, w_pt)).reshape(-1, 1)])
+        s = (b / np.sqrt(w[:, :, None] * w[:, None, :]).reshape(2, d * d, 1)).reshape(2 * d * d, n)
         g_bar = -(s[diagonal] + s[d * d + diagonal]).sum(axis=0).real
-        return g_obj, -(k + k.T).real, g_bar, (s.conj().T @ s).real
+        return g_obj, -(k.real + k.real.T), g_bar, (s.conj().T @ s).real
 
     def dual_gap(point, t: float) -> float:
         # f - LB at any strictly feasible omega, LB = f + 1 + lambda_min(G - Z_1 - Z_2^{T_B})
         # with G = -D ln[omega](rho), Z_1 = omega^{-1} / t and Z_2 = (omega^{T_B})^{-1} / t
-        _, _, omega, omega_pt, w, u = point
-        z = np.linalg.inv(omega) + _partial_transpose(np.linalg.inv(omega_pt), dims)
-        return -1.0 - float(np.linalg.eigvalsh(-_neg_gradient(rho, w, u) - z / t)[0])
+        _, _, _, w, u = point
+        inv = (u / w[:, None, :]) @ u.conj().swapaxes(1, 2)
+        z = inv[0] + _partial_transpose(inv[1], dims)
+        return -1.0 - float(np.linalg.eigvalsh(-_neg_gradient(rho, w[0], u[0]) - z / t)[0])
 
-    x, t = np.zeros(n), _BARRIER_START
+    x, t = _barrier_start(rho, dims), _BARRIER_START
     point = evaluate(x)
     derivs = derivatives(point)
     trace: list[tuple[int, float, float]] = []
@@ -659,7 +666,7 @@ def _ppt_barrier(rho: np.ndarray, s_rho: float, dims: tuple[int, int],
             g_obj, h_obj, g_bar, h_bar = derivs
             grad = t * g_obj + g_bar
             try:
-                step, tangent = np.linalg.solve(t * h_obj + h_bar, -np.stack([grad, g_obj], 1)).T
+                step, tangent = np.linalg.solve(t * h_obj + h_bar, -np.array([grad, g_obj]).T).T
             except np.linalg.LinAlgError:
                 break
             decrement = float(-grad @ step)

@@ -92,7 +92,7 @@ def cross_term_eig(rho: np.ndarray, w: np.ndarray, u: np.ndarray) -> np.ndarray:
     Eigenvalues at or below EIG_FLOOR are omega's kernel; where rho puts more
     than SUPPORT_OVERLAP_TOL of its mass there, the value is inf.
     """
-    mass = np.clip(np.real(np.einsum("...ik,...ij,...jk->...k", u.conj(), rho, u)), 0.0, None)
+    mass = np.maximum(np.einsum("...ik,...ij,...jk->...k", u.conj(), rho, u).real, 0.0)
     kernel = w <= EIG_FLOOR
     value = -(mass * np.log(np.where(kernel, 1.0, w))).sum(axis=-1)
     return np.where((mass * kernel).sum(axis=-1) > SUPPORT_OVERLAP_TOL, math.inf, value)

@@ -10,7 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from erasure_lab import cli
+from erasure_lab import cli, demon
+from erasure_lab import scenario as scenario_mod
 from erasure_lab.cli import main
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "docs" / "examples"
@@ -176,6 +177,32 @@ class TestDemonCommand:
         code, _, err = run_cli(["demon", "--scenario", str(bad)], capsys)
         assert code == 2
         assert "scenario error" in err and "share one length" in err
+
+    @pytest.mark.parametrize("overlap, projective", [(0.0, True), (5e-10, True), (2e-9, False)])
+    def test_closure_is_demanded_exactly_for_a_projective_readout(self, overlap, projective,
+                                                                   tmp_path, capsys, monkeypatch):
+        # the readout and the CLI's closure check read one threshold; a Helstrom
+        # readout diagonalises p1 |m1><m1| - p2 |m2><m2|, a projective one does not
+        scenario = json.loads((EXAMPLES / "demon_qec.json").read_text())
+        scenario["errors"] = [dict(e, weight=0.5) for e in scenario["errors"][:2]]
+        scenario["apparatus_overlap"] = overlap
+        path = tmp_path / "qec.json"
+        path.write_text(json.dumps(scenario))
+        helstrom, closure = [], []
+        eig, check_cycle = demon.hermitian_eig, demon.EntropyLedger.check_cycle
+        built = scenario_mod.build_qec_scenario(scenario)
+        monkeypatch.setattr(demon, "hermitian_eig", lambda m: helstrom.append(m) or eig(m))
+        demon._measurement_probabilities(built)
+        monkeypatch.setattr(demon, "hermitian_eig", eig)
+
+        def spy(ledger, require_system_closure=True):
+            closure.append(require_system_closure)
+            return check_cycle(ledger, require_system_closure=require_system_closure)
+        monkeypatch.setattr(demon.EntropyLedger, "check_cycle", spy)
+        code, _, _ = run_cli(["demon", "--scenario", str(path)], capsys)
+        assert code == 0
+        assert (not helstrom) == projective
+        assert closure == [projective]
 
 
 class TestEntanglementCommand:

@@ -32,7 +32,7 @@ through the package's density-operator types.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -166,58 +166,56 @@ def entropy_of_entanglement(psi, dims: tuple[int, int]) -> EntropyValue:
 
 
 # ---------------------------------------------------------------------------
-# Separable mixtures
+# Separable mixtures: the E_RE minimizers, as stacks of weights and kets
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class SeparableMixture:
-    """Explicit convex combination of product pure states {p_i, |a_i>, |b_i>}."""
+    """Explicit convex combination of product pure states {p_i, |a_i>, |b_i>}:
+    validation stacks the terms once into the read-only ``weights`` (k,),
+    ``kets_a`` (k, d_a) and ``kets_b`` (k, d_b), which ``terms`` views."""
 
     terms: tuple[tuple[float, np.ndarray, np.ndarray], ...]
+    weights: np.ndarray = field(init=False, repr=False, compare=False)
+    kets_a: np.ndarray = field(init=False, repr=False, compare=False)
+    kets_b: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        cleaned = []
-        total = 0.0
-        for w, ka, kb in self.terms:
-            w = float(w)
-            if not w >= -1e-12:  # also rejects NaN
-                raise InputError(f"mixture weight {w} is negative")
-            ka = np.asarray(ka, dtype=complex).reshape(-1)
-            kb = np.asarray(kb, dtype=complex).reshape(-1)
-            if abs(np.linalg.norm(ka) - 1.0) > 1e-9 or abs(np.linalg.norm(kb) - 1.0) > 1e-9:
-                raise InputError("mixture kets must be unit vectors")
-            cleaned.append((w, ka, kb))
-            total += w
-        if not abs(total - 1.0) <= 1e-9:
-            raise InputError(f"mixture weights sum to {total}, not 1")
-        object.__setattr__(self, "terms", tuple(cleaned))
+        try:
+            weights, kets_a, kets_b = zip(*self.terms)
+            kets_a, kets_b = (np.array(k, dtype=complex).reshape(len(k), -1)
+                              for k in (kets_a, kets_b))
+        except ValueError as exc:  # no terms, or ragged kets
+            raise InputError(f"expected (p, a, b) terms, one ket length per factor: {exc}") from exc
+        weights = np.array(weights, dtype=float)
+        if not weights.min() >= -1e-12:  # also rejects NaN
+            raise InputError(f"mixture weight {weights.min()} is negative")
+        norms = np.concatenate([np.linalg.norm(kets_a, axis=1), np.linalg.norm(kets_b, axis=1)])
+        if not np.abs(norms - 1.0).max() <= 1e-9:  # also rejects NaN
+            raise InputError("mixture kets must be unit vectors")
+        if not abs(weights.sum() - 1.0) <= 1e-9:
+            raise InputError(f"mixture weights sum to {weights.sum()}, not 1")
+        for name, a in (("weights", weights), ("kets_a", kets_a), ("kets_b", kets_b)):
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
+        object.__setattr__(self, "terms", tuple(zip(weights.tolist(), kets_a, kets_b)))
 
     @property
     def dims(self) -> tuple[int, int]:
-        _, ka, kb = self.terms[0]
-        return ka.size, kb.size
+        return self.kets_a.shape[1], self.kets_b.shape[1]
 
     def matrix(self) -> np.ndarray:
         """Sum_i p_i |a_i b_i><a_i b_i| as one product of the stacked kets."""
-        weights = np.array([w for w, _, _ in self.terms])
-        kets_a = np.array([ka for _, ka, _ in self.terms])
-        kets_b = np.array([kb for _, _, kb in self.terms])
-        kets = (kets_a[:, :, None] * kets_b[:, None, :]).reshape(len(weights), -1)
-        return (kets.T * weights) @ kets.conj()
+        kets = (self.kets_a[:, :, None] * self.kets_b[:, None, :]).reshape(len(self.weights), -1)
+        return (kets.T * self.weights) @ kets.conj()
 
     @staticmethod
     def maximally_mixed(dims: tuple[int, int]) -> "SeparableMixture":
+        """I/d as the d = d_a d_b product basis kets, each at weight 1/d."""
         d_a, d_b = dims
-        w = 1.0 / (d_a * d_b)
-        terms = []
-        for i in range(d_a):
-            for j in range(d_b):
-                ka = np.zeros(d_a, dtype=complex)
-                ka[i] = 1.0
-                kb = np.zeros(d_b, dtype=complex)
-                kb[j] = 1.0
-                terms.append((w, ka, kb))
-        return SeparableMixture(tuple(terms))
+        kets_a = np.repeat(np.eye(d_a, dtype=complex), d_b, axis=0)
+        kets_b = np.tile(np.eye(d_b, dtype=complex), (d_a, 1))
+        return SeparableMixture(tuple(zip(np.full(d_a * d_b, 1.0 / (d_a * d_b)), kets_a, kets_b)))
 
 
 # ---------------------------------------------------------------------------
@@ -275,10 +273,10 @@ class EreResult:
     """Minimized relative entropy with the achieving mixture and solver trace."""
 
     value: float
-    # the separable omega with value = S(rho || omega) as product terms: the
-    # Schmidt-diagonal mixture of a pure state, and on 2x2 Wootters' split of
-    # rho itself (PPT), of sigma* (entangled fraction) or of the barrier's
-    # last iterate; None for mixed states on 2x3 and 3x2 (PPT, not split)
+    # the separable omega with value = S(rho || omega) as stacked product terms:
+    # the Schmidt-diagonal mixture of a pure state, on 2x2 Wootters' split of rho
+    # (PPT), sigma* (entangled fraction) or the barrier's last iterate, and beyond
+    # 2x3 Frank-Wolfe's pruned active set; None for mixed states on 2x3 and 3x2
     argmin: SeparableMixture | None
     convergence: tuple[tuple[int, float, float], ...]  # (iteration, objective, gap)
     # "converged": the last gap is a bound on value - E_RE and is within
@@ -401,7 +399,9 @@ def relative_entropy_of_entanglement(rho: DensityOperator,
     if dims not in ((2, 2), (2, 3), (3, 2)):
         return _frank_wolfe(rho.matrix, s_rho, dims, opts)
     if np.linalg.eigvalsh(_partial_transpose(rho.matrix, dims))[0] >= -_PPT_ROUNDING:
-        argmin = _product_split(rho.matrix) if dims == (2, 2) else None
+        argmin = None
+        if dims == (2, 2):
+            argmin = _product_split(rho.eigenvalues[::-1], rho.eigenvectors[:, ::-1])
         return EreResult(value=0.0, argmin=argmin, convergence=((0, 0.0, 0.0),), status="converged")
     if dims == (2, 2):
         result = _entangled_fraction_ere(rho.matrix, s_rho)
@@ -447,10 +447,10 @@ def _entangled_fraction_ere(rho: np.ndarray, s_rho: float) -> EreResult | None:
         return None
     phi = _MAGIC @ vecs[:, -1]
     top = np.outer(phi, phi.conj())
-    sigma = top / 2.0 + (rho - f * top) / (2.0 * (1.0 - f))
-    if np.linalg.eigvalsh(sigma)[0] < -_PPT_ROUNDING:
+    w, u = np.linalg.eigh(top / 2.0 + (rho - f * top) / (2.0 * (1.0 - f)))
+    if w[0] < -_PPT_ROUNDING:
         return None
-    argmin = _product_split(sigma)
+    argmin = _product_split(w, u)
     value = max(_objective(rho, s_rho, *np.linalg.eigh(argmin.matrix())), 0.0)
     gap = max(value - (math.log(2.0) - binary_entropy(f).nats), 0.0)
     return EreResult(value=value, argmin=argmin, convergence=((0, value, gap),), status="converged")
@@ -471,9 +471,9 @@ def _frank_wolfe(rho_m: np.ndarray, s_rho: float, dims: tuple[int, int],
     d = dims[0] * dims[1]
     gen = np.random.default_rng(opts.seed)
 
-    mixture = SeparableMixture.maximally_mixed(dims)
-    weights = np.full(d, 1.0 / d)
-    kets = [(ka, kb) for _, ka, kb in mixture.terms]
+    # the active set: weights, and (kets_a, kets_b) blocks stacked once at the end
+    base = SeparableMixture.maximally_mixed(dims)
+    weights, kets = base.weights, [(base.kets_a, base.kets_b)]
     omega = np.eye(d, dtype=complex) / d
 
     trace: list[tuple[int, float, float]] = []
@@ -486,10 +486,8 @@ def _frank_wolfe(rho_m: np.ndarray, s_rho: float, dims: tuple[int, int],
         if w[0] <= EIG_FLOOR:
             # keep the iterate full rank so the gradient stays finite
             omega = (1.0 - eps) * omega + eps * np.eye(d, dtype=complex) / d
-            base = SeparableMixture.maximally_mixed(dims)
-            weights = np.concatenate([weights * (1.0 - eps),
-                                      [eps * bw for bw, _, _ in base.terms]])
-            kets.extend((ka, kb) for _, ka, kb in base.terms)
+            weights = np.concatenate([weights * (1.0 - eps), eps * base.weights])
+            kets.append((base.kets_a, base.kets_b))
             w, u = np.linalg.eigh(omega)
         f = _objective(rho_m, s_rho, w, u)
         g_neg = _neg_gradient(rho_m, w, u)
@@ -513,11 +511,11 @@ def _frank_wolfe(rho_m: np.ndarray, s_rho: float, dims: tuple[int, int],
             omega = (1.0 - gamma) * omega + gamma * vertex
             omega = (omega + omega.conj().T) / 2.0
             weights = np.append(weights * (1.0 - gamma), gamma)
-            kets.append((ket_a, ket_b))
+            kets.append((ket_a[None], ket_b[None]))
 
-    final_terms = _pruned_terms(weights, kets, cap=d * d)
-    value = max(trace[-1][1], 0.0)
-    return EreResult(value=value, argmin=SeparableMixture(final_terms),
+    kets_a, kets_b = (np.concatenate(blocks) for blocks in zip(*kets))
+    argmin = _pruned_mixture(weights, kets_a, kets_b, cap=d * d)
+    return EreResult(value=max(trace[-1][1], 0.0), argmin=argmin,
                      convergence=tuple(trace), status=status)
 
 
@@ -602,9 +600,9 @@ def _ppt_barrier(rho: np.ndarray, s_rho: float, dims: tuple[int, int],
     worse at mu t, else from x(t). A centring step fails once a full step no
     longer lowers the decrement; one that fails before convergence ends the
     run as "stalled"; one that fails after it ends the run at the last
-    centred point. On 2x2 ``_product_split`` turns the final iterate into
-    product kets and the value is S(rho || argmin); on 2x3 and 3x2 the value
-    is S(rho || omega) at the final iterate, with no argmin.
+    centred point. On 2x2 ``_product_split`` turns the final iterate's
+    eigensystem into product kets and the value is S(rho || argmin); on 2x3
+    and 3x2 the value is S(rho || omega) at the final iterate, with no argmin.
     """
     d = dims[0] * dims[1]
     basis = _traceless_basis(d)
@@ -617,12 +615,11 @@ def _ppt_barrier(rho: np.ndarray, s_rho: float, dims: tuple[int, int],
     nu = 2.0 * d
 
     def evaluate(x: np.ndarray):
-        # (objective, log-det barrier, omega, w, u); w[k], u[k] for omega, omega^{T_B}; None outside
-        pair = centre + (x @ rows).reshape(2, d, d)
-        w, u = np.linalg.eigh(pair)
+        # (objective, log-det barrier, w, u); w[k], u[k] for omega, omega^{T_B}; None outside
+        w, u = np.linalg.eigh(centre + (x @ rows).reshape(2, d, d))
         if w[0, 0] <= 0.0 or w[1, 0] <= 0.0:
             return None
-        return _objective(rho, s_rho, w[0], u[0]), -np.log(w).sum(), pair[0], w, u
+        return _objective(rho, s_rho, w[0], u[0]), -np.log(w).sum(), w, u
 
     def derivatives(point) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         # in Liouville space over omega's eigenbasis, with b the rotated basis columns
@@ -631,7 +628,7 @@ def _ppt_barrier(rho: np.ndarray, s_rho: float, dims: tuple[int, int],
         # det gives -tr(S_a) and Re(S^dag S), S_a = w^{-1/2} V^dag X_a V w^{-1/2} over
         # the eigensystem (w, V) of omega or omega^{T_B}, X_a = B_a or B_a^{T_B}, with
         # vec(V^dag X V) = (V^dag (x) V^T) vec(X) for both pairs in one stacked product
-        _, _, _, w, u = point
+        _, _, w, u = point
         ut = u.swapaxes(1, 2)
         kron = (ut.conj()[:, :, None, :, None] * ut[:, None, :, None, :]).reshape(2, d * d, d * d)
         b = kron @ cols
@@ -648,7 +645,7 @@ def _ppt_barrier(rho: np.ndarray, s_rho: float, dims: tuple[int, int],
     def dual_gap(point, t: float) -> float:
         # f - LB at any strictly feasible omega, LB = f + 1 + lambda_min(G - Z_1 - Z_2^{T_B})
         # with G = -D ln[omega](rho), Z_1 = omega^{-1} / t and Z_2 = (omega^{T_B})^{-1} / t
-        _, _, _, w, u = point
+        _, _, w, u = point
         inv = (u / w[:, None, :]) @ u.conj().swapaxes(1, 2)
         z = inv[0] + _partial_transpose(inv[1], dims)
         return -1.0 - float(np.linalg.eigvalsh(-_neg_gradient(rho, w[0], u[0]) - z / t)[0])
@@ -707,7 +704,7 @@ def _ppt_barrier(rho: np.ndarray, s_rho: float, dims: tuple[int, int],
 
     argmin, value = None, final[0]
     if dims == (2, 2):
-        argmin = _product_split(final[2])
+        argmin = _product_split(final[2][0], final[3][0])
         value = _objective(rho, s_rho, *np.linalg.eigh(argmin.matrix()))
     return EreResult(value=max(value, 0.0), argmin=argmin, convergence=tuple(trace), status=status)
 
@@ -737,7 +734,10 @@ def _wootters_kets(w: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, float]:
     tau = v.T @ _YY @ v
     # Takagi vectors from the real symmetric embedding [[Re, Im], [Im, -Re]]:
     # its eigenvector [p; q] for lambda >= 0 gives tau conj(p + iq) = lambda (p + iq)
-    lam, vecs = np.linalg.eigh(np.block([[tau.real, tau.imag], [tau.imag, -tau.real]]))
+    embedding = np.empty((8, 8))
+    embedding[:4, :4], embedding[4:, 4:] = tau.real, -tau.real
+    embedding[:4, 4:] = embedding[4:, :4] = tau.imag
+    lam, vecs = np.linalg.eigh(embedding)
     lam = lam[4:][::-1]
     takagi = (vecs[:4, 4:] + 1j * vecs[4:, 4:])[:, ::-1]
     x = v @ takagi.conj()
@@ -769,47 +769,49 @@ def _wootters_kets(w: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, float]:
     return z, concurrence
 
 
-def _product_split(omega: np.ndarray) -> SeparableMixture:
-    """A zero-concurrence two-qubit state as the mixture of Wootters' product kets.
+def _product_split(w: np.ndarray, u: np.ndarray) -> SeparableMixture:
+    """Wootters' product kets of a zero-concurrence two-qubit state, from its eigensystem.
 
     Kets parallel on both factors (to ``_PARALLEL_KETS``) make one term, at the
     weighted mean of their phase-aligned factors: it matches the terms' sum to
     second order in the kets' distance, which a degenerate rho's rounding puts
     as high as 1e-7 (the square roots of its zero eigenvalues).
     """
-    z, _ = _wootters_kets(*np.linalg.eigh(omega))
+    z, _ = _wootters_kets(w, u)
     left, sv, right = np.linalg.svd(z.T.reshape(4, 2, 2))
     keep = sv[:, 0] > 1e-15
     weights, kets_a, kets_b = sv[keep, 0] ** 2, left[keep, :, 0], right[keep, 0]
     ov_a, ov_b = kets_a.conj() @ kets_a.T, kets_b.conj() @ kets_b.T  # [i, j] = <a_i|a_j>
     parallel = 1.0 - np.abs(ov_a * ov_b) <= _PARALLEL_KETS
-    terms, taken = [], np.zeros(len(weights), dtype=bool)
-    for i in range(len(weights)):
-        if taken[i]:
-            continue
-        group = parallel[i] & ~taken
-        taken |= group
-        if np.count_nonzero(group) == 1:
-            terms.append((weights[i], kets_a[i], kets_b[i]))
-            continue
-        mean_a = (weights[group] * np.conj(ov_a[i, group]) / np.abs(ov_a[i, group])) @ kets_a[group]
-        mean_b = (weights[group] * np.conj(ov_b[i, group]) / np.abs(ov_b[i, group])) @ kets_b[group]
-        terms.append((weights[group].sum(), mean_a / np.linalg.norm(mean_a),
-                      mean_b / np.linalg.norm(mean_b)))
-    total = sum(p for p, _, _ in terms)
-    return SeparableMixture(tuple((p / total, ka, kb) for p, ka, kb in terms))
+    if np.count_nonzero(parallel) > len(weights):  # some distinct kets are parallel
+        terms, taken = [], np.zeros(len(weights), dtype=bool)
+        for i in range(len(weights)):
+            if taken[i]:
+                continue
+            group = parallel[i] & ~taken
+            taken |= group
+            if np.count_nonzero(group) == 1:
+                terms.append((weights[i], kets_a[i], kets_b[i]))
+                continue
+            p = weights[group]
+            mean_a = (p * np.conj(ov_a[i, group]) / np.abs(ov_a[i, group])) @ kets_a[group]
+            mean_b = (p * np.conj(ov_b[i, group]) / np.abs(ov_b[i, group])) @ kets_b[group]
+            terms.append((p.sum(), mean_a / np.linalg.norm(mean_a),
+                          mean_b / np.linalg.norm(mean_b)))
+        weights, kets_a, kets_b = (np.array(x) for x in zip(*terms))
+    return SeparableMixture(tuple(zip(weights / weights.sum(), kets_a, kets_b)))
 
 
-def _pruned_terms(weights, kets, cap: int):
-    """Drop negligible weights; apply the term cap only when the tail it
-    would discard is itself negligible (the iterate can genuinely need many
-    vertices, and misreporting the argmin is worse than a long list)."""
+def _pruned_mixture(weights, kets_a, kets_b, cap: int) -> SeparableMixture:
+    """The stacked terms heavier than 1e-12, heaviest first and renormalized; the cap applies
+    only when the tail it would cut weighs at most 1e-9 (the iterate can genuinely need
+    many vertices, and misreporting the argmin is worse than a long list)."""
     order = np.argsort(weights)[::-1]
-    kept = [i for i in order if weights[i] > 1e-12]
-    if len(kept) > cap and sum(weights[i] for i in kept[cap:]) <= 1e-9:
+    kept = order[weights[order] > 1e-12]
+    if len(kept) > cap and weights[kept[cap:]].sum() <= 1e-9:
         kept = kept[:cap]
-    total = sum(weights[i] for i in kept)
-    return tuple((weights[i] / total, kets[i][0], kets[i][1]) for i in kept)
+    w = weights[kept]
+    return SeparableMixture(tuple(zip(w / w.sum(), kets_a[kept], kets_b[kept])))
 
 
 # ---------------------------------------------------------------------------
@@ -859,13 +861,10 @@ def _random_isometries(gen: np.random.Generator, n: int, k: int, r: int) -> np.n
 
 def _branches(y: np.ndarray, floor: float) -> tuple[tuple[float, np.ndarray], ...]:
     """Unit kets and renormalized weights of the rows of y heavier than floor."""
-    terms = []
-    for row in y:
-        p = float(np.sum(np.abs(row) ** 2))
-        if p > floor:
-            terms.append((p, row / math.sqrt(p)))
-    total = sum(p for p, _ in terms)
-    return tuple((p / total, psi) for p, psi in terms)
+    p = np.sum(np.abs(y) ** 2, axis=1)
+    keep = p > floor
+    p, y = p[keep], y[keep]
+    return tuple(zip((p / p.sum()).tolist(), y / np.sqrt(p)[:, None]))
 
 
 def entanglement_of_creation(rho: DensityOperator,

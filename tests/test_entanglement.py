@@ -455,6 +455,25 @@ class TestEntanglementOfCreation:
         rebuilt = sum(p * np.outer(psi, psi.conj()) for p, psi in result.decomposition)
         assert np.max(np.abs(rebuilt - rho.matrix)) < 1e-8
 
+    @pytest.mark.parametrize("shape", [(4, 4), (9, 6), (16, 9)])
+    def test_branches_match_the_row_loop(self, shape):
+        gen = rng(26)
+        y = gen.normal(size=shape) + 1j * gen.normal(size=shape)
+        y[1] = 0.0
+        y[2] *= 1e-8  # weight about 1e-15, under the 1e-12 floor
+        for floor in (0.0, 1e-12):
+            expected = []
+            for row in y:
+                p = float(np.sum(np.abs(row) ** 2))
+                if p > floor:
+                    expected.append((p, row / math.sqrt(p)))
+            total = sum(p for p, _ in expected)
+            branches = entanglement._branches(y, floor)
+            assert len(branches) == len(expected) == shape[0] - 1 - (floor > 0.0)
+            for (p, psi), (q, phi) in zip(branches, expected):
+                assert type(p) is float and p == pytest.approx(q / total, rel=1e-15, abs=0.0)
+                assert np.array_equal(psi, phi)
+
     def test_ordering_against_relative_entropy(self):
         gen = rng(24)
         for _ in range(3):
@@ -1317,6 +1336,75 @@ class TestSeparableMixture:
                            for w, ka, kb in mixture.terms)
             assert np.max(np.abs(mixture.matrix() - expected)) <= 1e-15
 
-    def test_maximally_mixed_assembly(self):
-        mixture = SeparableMixture.maximally_mixed((2, 2))
-        assert np.max(np.abs(mixture.matrix() - np.eye(4) / 4)) < 1e-12
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2)])
+    def test_maximally_mixed_assembly(self, dims):
+        mixture = SeparableMixture.maximally_mixed(dims)
+        d = dims[0] * dims[1]
+        assert mixture.dims == dims and len(mixture.terms) == d
+        assert np.max(np.abs(mixture.matrix() - np.eye(d) / d)) < 1e-12
+
+    @pytest.mark.parametrize("terms", [
+        (),
+        ((0.5, [1.0, 0.0], [1.0, 0.0]), (0.5, [1.0, 0.0, 0.0], [1.0, 0.0])),  # ragged on A
+        ((0.5, [1.0, 0.0], [1.0, 0.0]), (0.5, [0.0, 1.0], [0.0, 0.0, 1.0])),  # ragged on B
+        ((1.0, [math.nan, 0.0], [1.0, 0.0]),),
+    ], ids=["empty", "ragged-a", "ragged-b", "nan-ket"])
+    def test_malformed_terms_rejected(self, terms):
+        with pytest.raises(InputError):
+            SeparableMixture(terms)
+
+    def test_stacks_are_read_only(self):
+        mixture = SeparableMixture(tuple(random_product_terms(rng(43), 2, 3, 4)))
+        for stack in (mixture.weights, mixture.kets_a, mixture.kets_b):
+            with pytest.raises(ValueError):
+                stack[0] = 0.0
+        _, ka, kb = mixture.terms[0]
+        assert not ka.flags.writeable and not kb.flags.writeable
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2)])
+    def test_terms_view_the_stacks(self, dims):
+        mixture = SeparableMixture(tuple(random_product_terms(rng(44), *dims, 5)))
+        assert mixture.weights.shape == (5,)
+        assert mixture.kets_a.shape == (5, dims[0]) and mixture.kets_b.shape == (5, dims[1])
+        assert mixture.dims == dims
+        assert len(mixture.terms) == 5
+        for (p, ka, kb), (w, la, lb) in zip(mixture.terms,
+                                            zip(mixture.weights, mixture.kets_a, mixture.kets_b)):
+            assert type(p) is float and p == w
+            assert np.array_equal(ka, la) and np.array_equal(kb, lb)
+
+
+class TestPrunedMixture:
+    """Frank-Wolfe's final active set: weights <= 1e-12 go, and the term cap
+    applies only when the tail it would cut weighs at most 1e-9."""
+
+    @staticmethod
+    def active_set(tail_weight: float):
+        gen = rng(45)
+        tail = np.full(20, tail_weight)
+        dust = np.full(3, 1e-13)
+        head = gen.dirichlet(np.ones(4)) * (1.0 - tail.sum() - dust.sum())
+        weights = gen.permutation(np.concatenate([head, tail, dust]))
+        kets = [np.array([random_ket(gen, d) for _ in weights]) for d in (2, 3)]
+        return weights, kets[0], kets[1]
+
+    def test_light_tail_is_cut_to_the_cap(self):
+        weights, kets_a, kets_b = self.active_set(1e-11)  # tail 2e-10
+        mixture = entanglement._pruned_mixture(weights, kets_a, kets_b, cap=4)
+        heaviest = np.argsort(weights)[::-1][:4]
+        assert len(mixture.terms) == 4
+        expected = weights[heaviest] / weights[heaviest].sum()
+        assert np.max(np.abs(mixture.weights - expected)) <= 1e-15
+        assert np.array_equal(mixture.kets_a, kets_a[heaviest])
+        assert np.array_equal(mixture.kets_b, kets_b[heaviest])
+
+    def test_heavy_tail_is_kept_whole(self):
+        weights, kets_a, kets_b = self.active_set(1e-10)  # tail 2e-9
+        mixture = entanglement._pruned_mixture(weights, kets_a, kets_b, cap=4)
+        kept = weights > 1e-12
+        whole = SeparableMixture(tuple(zip(weights[kept] / weights[kept].sum(),
+                                           kets_a[kept], kets_b[kept])))
+        assert len(mixture.terms) == 24  # the three weights of 1e-13 are dropped
+        assert np.all(np.diff(mixture.weights) <= 0.0)
+        assert abs(mixture.weights.sum() - 1.0) <= 1e-15
+        assert np.max(np.abs(mixture.matrix() - whole.matrix())) <= 1e-15

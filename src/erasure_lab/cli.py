@@ -12,7 +12,6 @@ nonnegative and is recorded in every report.
 
 The argument parser is built once per process (``build_parser`` is cached);
 every ``main`` call parses into a fresh namespace, so calls share no state.
-jsonschema is imported on the first scenario load (see ``scenario``).
 """
 
 from __future__ import annotations

@@ -223,33 +223,41 @@ def density_eig(m) -> tuple[np.ndarray, np.ndarray]:
     return lam, vecs
 
 
-def _require_finite(re: np.ndarray, im: np.ndarray, kind: str) -> None:
-    if not (np.isfinite(re).all() and np.isfinite(im).all()):
+def _literal_part(entries, kind: str) -> np.ndarray:
+    """The re or im part of a literal as floats; InputError if it is ragged or
+    has an entry that is not a finite JSON number."""
+    try:
+        part = np.asarray(entries)
+    except ValueError as exc:  # ragged
+        raise InputError(f"malformed {kind} literal: {exc}") from exc
+    if part.dtype.kind not in "iuf":  # bools, strings, nulls, objects
+        raise InputError(f"{kind} literal has an entry that is not a number")
+    if not np.isfinite(part).all():
         raise InputError(f"{kind} literal has a non-finite entry (NaN or Infinity)")
+    return np.asarray(part, dtype=float)
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:
     try:
-        dim = int(obj["dim"])
-        re = np.asarray(obj["re"], dtype=float)
+        dim, re = int(obj["dim"]), obj["re"]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed matrix literal: {exc}") from exc
-    im = np.asarray(obj.get("im", np.zeros_like(re)), dtype=float)
+    re = _literal_part(re, "matrix")
+    im = _literal_part(obj["im"], "matrix") if "im" in obj else np.zeros_like(re)
     if re.shape != (dim, dim) or im.shape != (dim, dim):
         raise InputError(
             f"matrix literal shape mismatch: dim={dim}, re {re.shape}, im {im.shape}"
         )
-    _require_finite(re, im, "matrix")
     return re + 1j * im
 
 
 def vector_from_json(obj: dict) -> np.ndarray:
     try:
-        re = np.asarray(obj["re"], dtype=float).reshape(-1)
-    except (KeyError, TypeError, ValueError) as exc:
+        re = obj["re"]
+    except (KeyError, TypeError) as exc:
         raise InputError(f"malformed vector literal: {exc}") from exc
-    im = np.asarray(obj.get("im", np.zeros_like(re)), dtype=float).reshape(-1)
+    re = _literal_part(re, "vector").reshape(-1)
+    im = _literal_part(obj["im"], "vector").reshape(-1) if "im" in obj else np.zeros_like(re)
     if im.shape != re.shape:
         raise InputError("vector literal re/im length mismatch")
-    _require_finite(re, im, "vector")
     return re + 1j * im

@@ -5,13 +5,13 @@ malformed input fails fast with a diagnostic (CLI exit code 2). Matrices use
 the shared literal format {"dim": n, "re": [[...]], "im": [[...]]} (``im``
 optional) and kets use {"re": [...], "im": [...]}.
 
-jsonschema is imported on the first scenario load, not with this module, so
-``selftest`` and ``--help`` never load it.
+The schemas use a small subset of JSON Schema, which one pass over the parsed
+file checks (``_checked``) with jsonschema's semantics and messages, so no
+command imports jsonschema; the tests keep it as the oracle.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 
@@ -128,36 +128,94 @@ SCHEMAS = {
 
 
 def load_scenario(path: str, command: str) -> dict:
-    """Read and schema-validate a scenario file for the given command."""
+    """Read and schema-check a scenario file for the given command.
+
+    On a file with several faults, the message names the first one met by a
+    walk that checks each node before the values inside it, and those in file
+    order. (jsonschema's best_match names the shallowest fault, and of several
+    faulty siblings the last.)
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh, parse_constant=_non_finite, parse_float=_finite_float)
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario file: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"scenario file is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"scenario file is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ScenarioError("scenario file nests too deeply to parse") from exc
     if command not in SCHEMAS:
         raise ScenarioError(f"no scenario schema for command {command!r}")
-    import jsonschema
-
-    # best_match picks the same error, and so the same message, as jsonschema.validate.
-    error = jsonschema.exceptions.best_match(_validator(command).iter_errors(payload))
-    if error is not None:
-        raise ScenarioError(
-            f"scenario does not match the {command} schema: {error.message}") from error
-    return _as_integers(SCHEMAS[command], payload)
+    return _checked(SCHEMAS[command], payload, command)
 
 
-def _as_integers(schema: dict, value):
-    """value with each float at an "integer" node of schema made an int: JSON
-    Schema counts 4000.0 as an integer, but range() and the reports do not."""
+def _checked(schema: dict, value, command: str):
+    """value checked against schema, with each float at an "integer" node made
+    an int: JSON Schema counts 4000.0 as an integer, but range() and the
+    reports do not. Descends only where schema has properties or items."""
+    for keyword, arg in schema.items():
+        fault = _fault(keyword, arg, value, schema)
+        if fault is not None:
+            raise ScenarioError(f"scenario does not match the {command} schema: {fault}")
+    if isinstance(value, dict) and "properties" in schema:
+        props = schema["properties"]
+        return {k: _checked(props[k], v, command) if k in props else v for k, v in value.items()}
+    if isinstance(value, list) and "items" in schema:
+        return [_checked(schema["items"], v, command) for v in value]
     if schema.get("type") == "integer" and isinstance(value, float):
         return int(value)
-    if isinstance(value, dict):
-        return {k: _as_integers(schema.get("properties", {}).get(k, {}), v) for k, v in value.items()}
-    if isinstance(value, list) and "items" in schema:
-        return [_as_integers(schema["items"], v) for v in value]
     return value
+
+
+def _fault(keyword: str, arg, value, schema: dict) -> str | None:
+    """jsonschema's message if value breaks the keyword of schema, else None."""
+    if keyword == "type":
+        return None if _is_type(value, arg) else f"{value!r} is not of type {arg!r}"
+    if keyword == "const":
+        return None if _equal(value, arg) else f"{arg!r} was expected"
+    if keyword == "enum":
+        return None if any(_equal(value, each) for each in arg) else f"{value!r} is not one of {arg!r}"
+    if keyword == "required" and isinstance(value, dict):
+        missing = [key for key in arg if key not in value]
+        return f"{missing[0]!r} is a required property" if missing else None
+    if keyword == "additionalProperties" and arg is False and isinstance(value, dict):
+        extras = sorted((key for key in value if key not in schema["properties"]), key=str)
+        verb = "was" if len(extras) == 1 else "were"
+        return (f"Additional properties are not allowed ({', '.join(map(repr, extras))} {verb} "
+                "unexpected)") if extras else None
+    if keyword == "minItems" and isinstance(value, list) and len(value) < arg:
+        return f"{value!r} {'should be non-empty' if arg == 1 else 'is too short'}"
+    if keyword == "maxItems" and isinstance(value, list) and len(value) > arg:
+        return f"{value!r} is too long"
+    if not _is_type(value, "number"):
+        return None
+    if keyword == "minimum" and value < arg:
+        return f"{value!r} is less than the minimum of {arg!r}"
+    if keyword == "maximum" and value > arg:
+        return f"{value!r} is greater than the maximum of {arg!r}"
+    if keyword == "exclusiveMinimum" and value <= arg:
+        return f"{value!r} is less than or equal to the minimum of {arg!r}"
+    return None
+
+
+_TYPES = {"object": dict, "array": list, "number": (int, float), "integer": int, "boolean": bool}
+
+
+def _is_type(value, name: str) -> bool:
+    """JSON Schema's type test: a boolean is neither a number nor an integer,
+    and an integral float is an integer."""
+    if isinstance(value, bool):
+        return name == "boolean"
+    if name == "integer" and isinstance(value, float):
+        return value.is_integer()
+    return isinstance(value, _TYPES[name])
+
+
+def _equal(value, expected) -> bool:
+    """JSON Schema's equality on the scalars that const and enum hold: true is not 1."""
+    return value == expected and isinstance(value, bool) == isinstance(expected, bool)
 
 
 def _non_finite(token: str):
@@ -169,17 +227,6 @@ def _finite_float(token: str) -> float:
     if not math.isfinite(value):  # e.g. 1e400
         _non_finite(token)
     return value
-
-
-@functools.cache
-def _validator(command: str):
-    """Validator for one command's schema, checked against its metaschema once."""
-    import jsonschema
-
-    schema = SCHEMAS[command]
-    cls = jsonschema.validators.validator_for(schema)
-    cls.check_schema(schema)
-    return cls(schema)
 
 
 def build_erasure_inputs(payload: dict) -> tuple[DensityOperator, HamiltonianSpec, float | None]:

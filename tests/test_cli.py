@@ -91,6 +91,34 @@ class TestErasureCommand:
         assert "non-finite" in err
         assert "NaN" not in out and "Infinity" not in out
 
+    @pytest.mark.parametrize("content, message", [
+        (b"\xff\xfe{}", "not UTF-8 text"),
+        (b"[" * 200_000, "nests too deeply"),
+    ], ids=["not-utf8", "deep-nesting"])
+    def test_undecodable_file_exits_2(self, content, message, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        code, out, err = run_cli(["erasure", "--scenario", str(bad)], capsys)
+        assert code == 2
+        assert out == "" and err.startswith("scenario error: ") and message in err
+
+    @pytest.mark.parametrize("path, literal", [
+        (("hamiltonian", "matrix"), {"dim": 2, "re": [[True, False], [False, True]]}),
+        (("state",), {"dim": 2, "re": [["0.73", 0.0], [0.0, "0.27"]]}),
+    ], ids=["bool-hamiltonian", "string-state"])
+    def test_non_numeric_matrix_entry_exits_2(self, path, literal, tmp_path, capsys):
+        scenario = json.loads((EXAMPLES / "erasure.json").read_text())
+        target = scenario
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = literal
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(scenario))
+        code, out, err = run_cli(["erasure", "--scenario", str(bad)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "scenario error: matrix literal has an entry that is not a number\n"
+
     def test_overflowing_number_exits_2(self, tmp_path, capsys):
         text = (EXAMPLES / "erasure.json").read_text().replace('"beta": 1.0', '"beta": 1e400')
         bad = tmp_path / "bad.json"
@@ -177,6 +205,17 @@ class TestDemonCommand:
         code, _, err = run_cli(["demon", "--scenario", str(bad)], capsys)
         assert code == 2
         assert "scenario error" in err and "share one length" in err
+
+    @pytest.mark.parametrize("entries", [["1.0", 0.0], [True, False]], ids=["string", "bool"])
+    def test_non_numeric_ket_entry_exits_2(self, entries, tmp_path, capsys):
+        scenario = json.loads((EXAMPLES / "demon_qec.json").read_text())
+        scenario["input_ket"] = {"re": entries}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(scenario))
+        code, out, err = run_cli(["demon", "--scenario", str(bad)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "scenario error: vector literal has an entry that is not a number\n"
 
     @pytest.mark.parametrize("overlap, projective", [(0.0, True), (5e-10, True), (2e-9, False)])
     def test_closure_is_demanded_exactly_for_a_projective_readout(self, overlap, projective,
@@ -575,7 +614,7 @@ class TestParserReuse:
         assert list(tmp_path.iterdir()) == [path]
 
 
-def test_jsonschema_is_imported_on_the_first_scenario_load(tmp_path):
+def test_no_command_imports_jsonschema(tmp_path):
     scenario = json.loads((EXAMPLES / "erasure.json").read_text())
     del scenario["hamiltonian"]["beta"]
     bad = tmp_path / "bad.json"
@@ -590,7 +629,12 @@ def test_jsonschema_is_imported_on_the_first_scenario_load(tmp_path):
             except SystemExit:
                 pass
             assert cli.main(["selftest"]) == 0
-        assert "jsonschema" not in sys.modules, "selftest"
+            assert "jsonschema" not in sys.modules, "selftest"
+            for command, example in [("erasure", "erasure"), ("demon", "demon_qec"),
+                                     ("entanglement", "entanglement")]:
+                path = {str(EXAMPLES)!r} + "/" + example + ".json"
+                assert cli.main([command, "--scenario", path]) == 0, command
+                assert "jsonschema" not in sys.modules, command
         sys.exit(cli.main(["erasure", "--scenario", {str(bad)!r}]))
     """)
     src = str(Path(cli.__file__).resolve().parent.parent)

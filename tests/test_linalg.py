@@ -321,6 +321,14 @@ class TestJsonLiterals:
         with pytest.raises(InputError):
             vector_from_json({"re": [1.0, bad]})
 
+    @pytest.mark.parametrize("im", [[[0], [0, 0]], "x", [[False, False], [False, True]]],
+                             ids=["ragged", "string", "bool"])
+    def test_malformed_im_rejected(self, im):
+        with pytest.raises(InputError):
+            matrix_from_json({"dim": 2, "re": [[1, 0], [0, 1]], "im": im})
+        with pytest.raises(InputError):
+            vector_from_json({"re": [1.0, 0.0], "im": im})
+
     def test_vector_round_trip(self):
         v = RNG.normal(size=5) + 1j * RNG.normal(size=5)
         back = vector_from_json({"re": v.real.tolist(), "im": v.imag.tolist()})
